@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** §V — assembling local partial matches at the coordinator.
   *
   * [[lec]] is the LEC-feature-based assembly (Alg. 3): LPMs are bucketed by
@@ -11,11 +9,12 @@ import scala.collection.mutable
   * per-pair joinability test collapses to a binding-consistency check
   * (Thms. 2–3).
   *
-  * [[basic]] is the VLDBJ'16-style baseline: a worklist join directly over
-  * local partial matches, with every pairwise test paying the full
-  * joinability check. Its join space is the quantity the paper's LEC
-  * optimizations shrink; a test budget makes blowups report as DNF rather
-  * than hanging (the paper's baselines time out similarly).
+  * [[basic]] is the VLDBJ'16-style baseline: the feature join of
+  * [[LecPruning]] run directly over local partial matches, with every
+  * pairwise test paying the full joinability check. Its join space is the
+  * quantity the paper's LEC optimizations shrink; a test budget makes
+  * blowups report as DNF rather than hanging (the paper's baselines time
+  * out similarly).
   */
 object Assembly {
 
@@ -43,18 +42,6 @@ object Assembly {
     val matches = Vector.newBuilder[Vector[Long]]
     var nMatches = 0
 
-    def merge(a: Array[Long], b: Seq[Long]): Array[Long] = {
-      val out = new Array[Long](a.length)
-      var i = 0
-      while (i < a.length) {
-        val x = a(i); val y = b(i)
-        if (x >= 0 && y >= 0 && x != y) return null
-        out(i) = math.max(x, y)
-        i += 1
-      }
-      out
-    }
-
     combos.complete.foreach { combo =>
       // smallest buckets first keeps intermediate products minimal
       val buckets = combo.map(f => byFeature.getOrElse(f, IndexedSeq.empty)).sortBy(_.size)
@@ -66,7 +53,7 @@ object Assembly {
             items.foreach { it =>
               bucket.foreach { pm =>
                 pairTests += 1
-                val m = merge(it, pm.bind)
+                val m = LecPruning.merge(it, pm.bind)
                 if (m != null) next += m
               }
             }
@@ -79,75 +66,20 @@ object Assembly {
     (matches.result(), Stats(pairTests, combos.stats.joinTests, nMatches))
   }
 
-  /** Basic (no-LEC) assembly baseline: worklist join over raw LPMs with
-    * global member-set deduplication. Joinability per pair: >=1 shared
-    * crossing-edge mapping, no conflicting mapping, disjoint LECSigns, and
-    * full binding consistency (the VLDBJ'16 conditions).
+  /** Basic (no-LEC) assembly baseline: [[LecPruning.join]] over the raw
+    * LPMs, so every pairwise test pays the full joinability check (>=1
+    * shared crossing-edge mapping, no conflicting mapping, disjoint
+    * LECSigns, and full binding consistency: the VLDBJ'16 conditions).
     */
   def basic(
       q: EncodedQuery,
       pms: IndexedSeq[PMRow],
-      budget: Long = 50_000_000L,
+      budget: Long = LecPruning.DefaultBudget,
   ): (Vector[Vector[Long]], Stats) = {
-    val full = q.fullMask
-    var pairTests = 0L
-    var dnf = false
+    val stats = LecPruning.Stats()
     val matches = Vector.newBuilder[Vector[Long]]
-    var nMatches = 0
-
-    case class State(members: Vector[Int], sign: Long, bind: Array[Long], cross: Map[Int, Cross])
-
-    val crossIdx = mutable.HashMap.empty[Cross, mutable.ArrayBuffer[Int]]
-    pms.zipWithIndex.foreach { case (pm, i) =>
-      pm.cross.foreach(c => crossIdx.getOrElseUpdate(c, mutable.ArrayBuffer.empty) += i)
-    }
-
-    val seen = mutable.HashSet.empty[Vector[Int]]
-    val stack = mutable.Stack.empty[State]
-    pms.zipWithIndex.foreach { case (pm, i) =>
-      if (seen.add(Vector(i)))
-        stack.push(State(Vector(i), pm.sign, pm.bind.toArray, pm.cross.map(c => c.edge -> c).toMap))
-    }
-
-    def tryJoin(st: State, j: Int): Option[State] = {
-      pairTests += 1
-      val pm = pms(j)
-      if ((st.sign & pm.sign) != 0) return None
-      pm.cross.foreach { c =>
-        st.cross.get(c.edge) match {
-          case Some(sc) if sc != c => return None
-          case _                   =>
-        }
-      }
-      val nb = new Array[Long](st.bind.length)
-      var i = 0
-      while (i < st.bind.length) {
-        val x = st.bind(i); val y = pm.bind(i)
-        if (x >= 0 && y >= 0 && x != y) return None
-        nb(i) = math.max(x, y)
-        i += 1
-      }
-      Some(State((st.members :+ j).sorted, st.sign | pm.sign, nb, st.cross ++ pm.cross.map(c => c.edge -> c)))
-    }
-
-    while (stack.nonEmpty && !dnf) {
-      val st = stack.pop()
-      val cands = mutable.HashSet.empty[Int]
-      st.cross.valuesIterator.foreach { c =>
-        crossIdx.get(c).foreach(_.foreach(j => if (!st.members.contains(j)) cands += j))
-      }
-      val it = cands.iterator
-      while (it.hasNext && !dnf) {
-        val j = it.next()
-        tryJoin(st, j).foreach { nx =>
-          if (seen.add(nx.members)) {
-            if (nx.sign == full) { matches += nx.bind.toVector; nMatches += 1 }
-            else stack.push(nx)
-          }
-        }
-        if (pairTests > budget) dnf = true
-      }
-    }
-    (matches.result(), Stats(pairTests, 0, nMatches, dnf))
+    val done = LecPruning.join(q, pms, budget, stats)((_, bind) => matches += bind.toVector)
+    val ms = matches.result()
+    (ms, Stats(stats.joinTests, 0, ms.size, dnf = !done))
   }
 }

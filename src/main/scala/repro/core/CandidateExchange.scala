@@ -48,9 +48,7 @@ object CandidateExchange {
       }
       // ... plus one per folded attribute constraint (gStore signature filter)
       val attrParts = q.constraints.getOrElse(v, Nil).zipWithIndex.map { case ((cp, co), i) =>
-        dg.fragTriples.toDF()
-          .filter($"p" === cp && $"o" === co && $"sFrag" === $"frag")
-          .select($"frag", $"s".as("c"), lit(edgeReqs.size + i).as("rid"))
+        dg.attrSubjects(cp, co).select($"frag", $"s".as("c"), lit(edgeReqs.size + i).as("rid"))
       }
       val parts = edgeParts ++ attrParts
       val cands = parts

@@ -116,8 +116,8 @@ object GStoreD {
           case Some(q0) =>
             val consByIdx = onCore.map { case (t, cs) => core.vertexTerms.indexOf(t) -> cs }
             val q = q0.copy(constraints = consByIdx)
-            if (core.isStar) evaluateStar(dg, query, core, q)
-            else evaluateGeneral(dg, query, core, q, opt, bitLen, maxPMs, basicBudget)
+            if (core.isStar) evaluateStar(dg, core, q)
+            else evaluateGeneral(dg, core, q, opt, bitLen, maxPMs, basicBudget)
         }
     }
   }
@@ -128,11 +128,8 @@ object GStoreD {
   private def scanEval(dg: DistributedGraph, term: Term, cs: Seq[(Long, Long)]): Option[DataFrame] = {
     import dg.spark.implicits._
     val dict = dg.graph.dict
-    val base = cs.map { case (p, o) =>
-      dg.fragTriples.toDF()
-        .filter($"p" === p && $"o" === o && $"sFrag" === $"frag")
-        .select($"s".as("__c"))
-    }.reduce((a, b) => a.join(b, Seq("__c")))
+    val base = cs.map { case (p, o) => dg.attrSubjects(p, o).select($"s".as("__c")) }
+      .reduce((a, b) => a.join(b, Seq("__c")))
     term match {
       case Term.Const(u) =>
         dict.idOpt(u).map(id => base.filter($"__c" === id))
@@ -185,8 +182,7 @@ object GStoreD {
     }
     val consParts = q.constraints.toSeq.flatMap { case (vIdx, cs) =>
       cs.map { case (p, o) =>
-        val base = dg.fragTriples.toDF()
-          .filter($"p" === p && $"o" === o && $"sFrag" === $"frag")
+        val base = dg.attrSubjects(p, o)
         if (vIdx == center) base.select($"frag", $"s".as("__c")).distinct()
         else base.select($"s".as(q.vertices(vIdx).varName)).distinct()
       }
@@ -205,7 +201,6 @@ object GStoreD {
 
   private def evaluateStar(
       dg: DistributedGraph,
-      query: QueryGraph,
       core: QueryGraph,
       q: EncodedQuery,
   ): QueryResult = {
@@ -218,7 +213,6 @@ object GStoreD {
 
   private def evaluateGeneral(
       dg: DistributedGraph,
-      query: QueryGraph,
       core: QueryGraph,
       q: EncodedQuery,
       opt: OptLevel,
@@ -247,43 +241,34 @@ object GStoreD {
     val numLpms = lpmDs.count()
     val lpmTimeMs = (System.nanoTime() - t1) / 1000000
 
-    // -- stage 3: LEC feature optimization (LO/Full) ------------------------
-    var lecTimeMs = 0L
-    var lecShipment = 0L
-    var features: IndexedSeq[LecFeature] = IndexedSeq.empty
-    var combos: LecPruning.Combos = null
-    var keptDs = lpmDs
-    var numKept = numLpms
-
-    def collectFeatures(): IndexedSeq[LecFeature] =
-      lpmDs.map(LecFeature.of).distinct().collect().toIndexedSeq
-
-    if (opt == OptLevel.LO || opt == OptLevel.Full) {
-      val t2 = System.nanoTime()
-      features = collectFeatures()
-      // only LO/Full actually ship features between sites (LA derives them
-      // from the LPMs already at the coordinator — no extra communication)
-      lecShipment = features.map(_.byteSize(q.n)).sum
-      combos = LecPruning.combos(q, features)
-      val surviving: Set[LecFeature] = combos.surviving.map(features)
-      val survB = spark.sparkContext.broadcast(surviving)
-      keptDs = lpmDs.filter(pm => survB.value.contains(LecFeature.of(pm))).cache()
-      numKept = keptDs.count()
-      lecTimeMs = (System.nanoTime() - t2) / 1000000
+    // -- stage 3: LEC features and pruning (Alg. 2) -------------------------
+    // LO/Full ship features from the sites and collect only the LPMs that
+    // survive pruning. Basic and LA collect every LPM as part of assembly;
+    // LA derives its features from them at the coordinator, with no extra
+    // communication.
+    val t2 = System.nanoTime()
+    val pruned = opt == OptLevel.LO || opt == OptLevel.Full
+    val (features, combos, kept) = opt match {
+      case OptLevel.Basic => (IndexedSeq.empty[LecFeature], None, lpmDs.collect().toIndexedSeq)
+      case OptLevel.LA =>
+        val lpms = lpmDs.collect().toIndexedSeq
+        val features = lpms.map(LecFeature.of).distinct
+        (features, Some(LecPruning.combos(q, features)), lpms)
+      case OptLevel.LO | OptLevel.Full =>
+        val features = lpmDs.map(LecFeature.of).distinct().collect().toIndexedSeq
+        val combos = LecPruning.combos(q, features)
+        val survB = spark.sparkContext.broadcast(combos.surviving.map(features))
+        val kept = lpmDs.filter(pm => survB.value.contains(LecFeature.of(pm))).collect().toIndexedSeq
+        (features, Some(combos), kept)
     }
+    val lecTimeMs = if (pruned) (System.nanoTime() - t2) / 1000000 else 0L
+    val lecShipment = if (pruned) features.map(_.byteSize(q.n)).sum else 0L
 
     // -- stage 4: assembly at the coordinator -------------------------------
-    val t3 = System.nanoTime()
-    val collected = keptDs.collect().toIndexedSeq
-    val (crossMatches, asmStats) = opt match {
-      case OptLevel.Basic =>
-        Assembly.basic(q, collected, basicBudget)
-      case _ =>
-        if (combos == null) { // LA: features + combos computed during assembly
-          features = collectFeatures()
-          combos = LecPruning.combos(q, features)
-        }
-        Assembly.lec(q, collected, features, combos)
+    val t3 = if (pruned) System.nanoTime() else t2
+    val (crossMatches, asmStats) = combos match {
+      case None    => Assembly.basic(q, kept, basicBudget)
+      case Some(c) => Assembly.lec(q, kept, features, c)
     }
     val localMatches = completeLocal.collect().toVector.map(_.bind.toVector)
     val varIdx = (0 until q.n).filter(q.vertices(_).isVar)
@@ -311,7 +296,7 @@ object GStoreD {
         lecShipmentBytes = lecShipment,
         assemblyTimeMs = assemblyTimeMs,
         numLpms = numLpms,
-        numLpmsKept = numKept,
+        numLpmsKept = kept.size,
         numFeatures = features.size,
         numMatches = allMatches.size,
         numCrossingMatches = crossDistinct.size,

@@ -16,6 +16,15 @@ final case class LecFeature(frag: Int, g: Seq[Cross], sign: Long) {
       Iterator(e.src -> c.su, e.dst -> c.ou)
     }.toMap
 
+  /** The partial match this feature stands for in the feature join: its
+    * crossing-edge endpoint bindings, NULL elsewhere.
+    */
+  def row(q: EncodedQuery): PMRow = {
+    val bind = Array.fill(q.n)(PMRow.NULL)
+    crossBindings(q).foreach { case (v, d) => bind(v) = d }
+    PMRow(frag, bind.toSeq, sign, g)
+  }
+
   /** Serialized size in bytes (frag id + 28B per mapping + sign bits) —
     * the paper's `Cost_LF` = O(|E^Q| + |V^Q|).
     */
@@ -27,7 +36,8 @@ object LecFeature {
   /** Alg. 1 on one LPM — a linear scan of its crossing-edge mappings.
     * (`PMRow.cross` is already the `(data edge, query edge)` mapping list
     * and `PMRow.sign` the LECSign, so extraction is a projection; the
-    * set-level dedup of Alg. 1 line 15 happens via `Dataset.distinct`.)
+    * set-level dedup of Alg. 1 line 15 happens via `Dataset.distinct` at
+    * the sites under LO/Full, and on the driver's collected LPMs under LA.)
     */
   def of(pm: PMRow): LecFeature = LecFeature(pm.frag, pm.cross, pm.sign)
 }

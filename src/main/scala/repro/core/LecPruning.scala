@@ -2,29 +2,43 @@ package repro.core
 
 import scala.collection.mutable
 
-/** §IV-C / Alg. 2 — coordinator-side join of LEC features.
+/** §IV-C / Alg. 2 — coordinator-side join of LEC features, and the one
+  * worklist join over partial matches that it shares with the basic
+  * (VLDBJ'16) assembly.
   *
-  * Enumerates every consistent, crossing-edge-connected combination of LEC
-  * features whose LECSigns OR to all-ones (Thm. 4). Features appearing in
-  * no complete combination are pruned together with all their LPMs.
+  * [[combos]] enumerates every consistent, crossing-edge-connected
+  * combination of LEC features whose LECSigns OR to all-ones (Thm. 4).
+  * Features appearing in no complete combination are pruned together with
+  * all their LPMs. A feature stands for its whole class of LPMs, so the
+  * search is [[join]] over the feature's [[LecFeature.row]]: the partial
+  * match that binds only its crossing-edge endpoints. [[Assembly.basic]]
+  * runs the same [[join]] over the LPMs themselves.
   *
   * The paper's DFS over the LECSign-group join graph is realized as a
-  * worklist search over feature combinations with global member-set
-  * deduplication — each combination is visited exactly once, and extension
-  * candidates come from a crossing-edge hash index, so only features
-  * sharing a crossing-edge mapping (Def. 9 condition 2) are ever paired.
-  * Def. 9's remaining conditions are enforced on each extension:
-  * condition 1 (different fragments) is implied — two features from the
-  * same fragment sharing a crossing edge would both mark the edge's
-  * internal endpoint in their LECSign and fail the sign test; condition 3
-  * is checked at vertex granularity (shared crossing-edge endpoints must
-  * bind identically, which is what Thm. 3's proof uses); condition 4 is
-  * the sign-disjointness test. Multi-way joins only require the new
-  * feature to be joinable with the *accumulated* combination (Thm. 4), so
-  * two same-fragment features may both participate through a third.
+  * worklist search over member sets with global deduplication — each
+  * combination is visited exactly once, and extension candidates come from
+  * a crossing-edge hash index, so only rows sharing a crossing-edge mapping
+  * (Def. 9 condition 2) are ever paired. Def. 9's remaining conditions are
+  * enforced on each extension: condition 1 (different fragments) is implied
+  * — two features from the same fragment sharing a crossing edge would both
+  * mark the edge's internal endpoint in their LECSign and fail the sign
+  * test; condition 3 is checked at vertex granularity by merging bindings
+  * (shared vertices must bind identically, which is what Thm. 3's proof
+  * uses); condition 4 is the sign-disjointness test. Multi-way joins only
+  * require the new row to be joinable with the *accumulated* combination
+  * (Thm. 4), so two same-fragment features may both participate through a
+  * third.
   */
 object LecPruning {
 
+  /** Tests a join may run before it reports exhaustion. */
+  val DefaultBudget: Long = 50_000_000L
+
+  /** @param joinTests      extension candidates tested: each distinct
+    *                       non-member drawn from the crossing-edge index
+    * @param statesExplored combinations taken off the worklist
+    * @param completeCombos complete combinations reached by an extension
+    */
   final case class Stats(
       var joinTests: Long = 0,
       var statesExplored: Long = 0,
@@ -41,98 +55,105 @@ object LecPruning {
   )
 
   private final case class State(
-      members: Vector[Int], // sorted feature indices
+      members: Vector[Int], // sorted row indices
       sign: Long,
       cross: Map[Int, Cross], // query-edge idx -> data crossing edge
-      vbind: Map[Int, Long], // query-vertex idx -> data vertex (cross endpoints)
+      bind: Array[Long], // query-vertex idx -> data vertex, NULL = unbound
   )
 
-  /** Pairwise Def.-9 joinability (used by tests; the search inlines it). */
-  def joinable(q: EncodedQuery, a: LecFeature, b: LecFeature): Boolean = {
-    if (a.frag == b.frag) return false
-    if ((a.sign & b.sign) != 0) return false
-    val ag = a.g.map(c => c.edge -> c).toMap
-    var shared = false
-    b.g.foreach { c =>
-      ag.get(c.edge) match {
-        case Some(ac) if ac == c => shared = true
-        case Some(_)             => return false
-        case None                =>
-      }
-    }
-    if (!shared) return false
-    val av = a.crossBindings(q); val bv = b.crossBindings(q)
-    av.forall { case (v, d) => bv.get(v).forall(_ == d) }
+  private def start(i: Int, r: PMRow): State =
+    State(Vector(i), r.sign, r.cross.map(c => c.edge -> c).toMap, r.bind.toArray)
+
+  /** Def. 9 conditions 2–4 of row `r` against the accumulated state. */
+  private def extend(st: State, j: Int, r: PMRow): Option[State] = {
+    if ((st.sign & r.sign) != 0) return None
+    if (r.cross.exists(c => st.cross.get(c.edge).exists(_ != c))) return None
+    val bind = merge(st.bind, r.bind)
+    if (bind == null) None
+    else Some(State((st.members :+ j).sorted, st.sign | r.sign, st.cross ++ r.cross.map(c => c.edge -> c), bind))
   }
 
-  def combos(q: EncodedQuery, features: IndexedSeq[LecFeature], maxStates: Long = 20_000_000L): Combos = {
-    val stats = Stats()
+  /** Merged bindings of two partial matches, or null when a query vertex
+    * is bound to two different data vertices.
+    */
+  private[core] def merge(a: Array[Long], b: Seq[Long]): Array[Long] = {
+    val out = new Array[Long](a.length)
+    var i = 0
+    while (i < a.length) {
+      val x = a(i); val y = b(i)
+      if (x >= 0 && y >= 0 && x != y) return null
+      out(i) = math.max(x, y)
+      i += 1
+    }
+    out
+  }
+
+  /** Pairwise Def.-9 joinability: condition 1, a shared crossing edge, and
+    * the search's extension step (used by tests).
+    */
+  def joinable(q: EncodedQuery, a: LecFeature, b: LecFeature): Boolean =
+    a.frag != b.frag && a.g.exists(b.g.contains) && extend(start(0, a.row(q)), 1, b.row(q)).isDefined
+
+  /** The worklist join over partial matches: calls `found` with the sorted
+    * member indices and merged bindings of every combination of `rows`
+    * whose signs OR to all-ones. Counts its work in `stats`.
+    *
+    * @return false when more than `budget` tests ran before the search ended
+    */
+  private[core] def join(q: EncodedQuery, rows: IndexedSeq[PMRow], budget: Long, stats: Stats)(
+      found: (Vector[Int], Array[Long]) => Unit): Boolean = {
     val full = q.fullMask
 
-    // crossing-edge hash index: identical Cross -> features containing it
+    // crossing-edge hash index: identical Cross -> rows containing it
     val crossIdx = mutable.HashMap.empty[Cross, mutable.ArrayBuffer[Int]]
-    features.zipWithIndex.foreach { case (f, i) =>
-      f.g.foreach(c => crossIdx.getOrElseUpdate(c, mutable.ArrayBuffer.empty) += i)
+    rows.zipWithIndex.foreach { case (r, i) =>
+      r.cross.foreach(c => crossIdx.getOrElseUpdate(c, mutable.ArrayBuffer.empty) += i)
     }
 
     val seen = mutable.HashSet.empty[Vector[Int]]
-    val complete = Vector.newBuilder[Vector[Int]]
-    val surviving = mutable.HashSet.empty[Int]
     val stack = mutable.Stack.empty[State]
-
-    features.zipWithIndex.foreach { case (f, i) =>
-      if (f.sign == full) {
-        // cannot happen for true LPMs (they have >=1 extended vertex), but
-        // keep the engine total for robustness
-        complete += Vector(i); surviving += i
-      } else if (seen.add(Vector(i))) {
-        stack.push(State(Vector(i), f.sign, f.g.map(c => c.edge -> c).toMap, f.crossBindings(q)))
-      }
+    rows.zipWithIndex.foreach { case (r, i) =>
+      // a full sign cannot happen for true LPMs (they have >=1 extended
+      // vertex), but keep the engine total for robustness
+      if (r.sign == full) found(Vector(i), r.bind.toArray)
+      else stack.push(start(i, r))
     }
 
-    def tryExtend(st: State, j: Int): Option[State] = {
-      stats.joinTests += 1
-      val f = features(j)
-      if ((st.sign & f.sign) != 0) return None
-      // crossing-edge consistency (Def. 9 conditions 2+3)
-      f.g.foreach { c =>
-        st.cross.get(c.edge) match {
-          case Some(sc) if sc != c => return None
-          case _                   =>
-        }
-      }
-      val fb = f.crossBindings(q)
-      fb.foreach { case (v, d) => if (st.vbind.get(v).exists(_ != d)) return None }
-      val members = (st.members :+ j).sorted
-      Some(State(members, st.sign | f.sign, st.cross ++ f.g.map(c => c.edge -> c), st.vbind ++ fb))
-    }
-
-    while (stack.nonEmpty) {
+    var exhausted = false
+    while (stack.nonEmpty && !exhausted) {
       val st = stack.pop()
       stats.statesExplored += 1
-      if (stats.statesExplored > maxStates)
-        throw new IllegalStateException(s"LEC feature join blowup: > $maxStates states")
-      // extension candidates: features sharing one of the state's crossing
-      // edges (sign-disjointness pre-filtered — it kills most candidates)
       val cands = mutable.HashSet.empty[Int]
       st.cross.valuesIterator.foreach { c =>
-        crossIdx.get(c).foreach(_.foreach { j =>
-          if ((features(j).sign & st.sign) == 0 && !st.members.contains(j)) cands += j
-        })
+        crossIdx.get(c).foreach(_.foreach(j => if (!st.members.contains(j)) cands += j))
       }
-      cands.foreach { j =>
-        tryExtend(st, j).foreach { nx =>
+      val it = cands.iterator
+      while (it.hasNext && !exhausted) {
+        val j = it.next()
+        stats.joinTests += 1
+        extend(st, j, rows(j)).foreach { nx =>
           if (seen.add(nx.members)) {
             if (nx.sign == full) {
               stats.completeCombos += 1
-              complete += nx.members
-              nx.members.foreach(surviving += _)
+              found(nx.members, nx.bind)
             } else stack.push(nx)
           }
         }
+        exhausted = stats.joinTests > budget
       }
     }
+    !exhausted
+  }
 
+  def combos(q: EncodedQuery, features: IndexedSeq[LecFeature], budget: Long = DefaultBudget): Combos = {
+    val stats = Stats()
+    val complete = Vector.newBuilder[Vector[Int]]
+    val surviving = mutable.HashSet.empty[Int]
+    val done = join(q, features.map(_.row(q)), budget, stats) { (members, _) =>
+      complete += members
+      surviving ++= members
+    }
+    if (!done) throw new IllegalStateException(s"LEC feature join blowup: > $budget tests")
     Combos(complete.result(), surviving.toSet, stats)
   }
 }

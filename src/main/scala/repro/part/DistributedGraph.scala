@@ -37,6 +37,12 @@ final class DistributedGraph(
 
   lazy val numCrossingEdges: Long = crossingEdges.count()
 
+  /** Internal subjects carrying the attribute edge `p -> o` (a folded
+    * gStore signature filter): columns `frag` and `s`.
+    */
+  def attrSubjects(p: Long, o: Long): DataFrame =
+    fragTriples.toDF().filter($"p" === p && $"o" === o && $"sFrag" === $"frag").select($"frag", $"s")
+
   /** |E_i^c| per fragment (crossing edges incident to the fragment). */
   lazy val crossingEdgesPerFrag: Map[Int, Long] =
     fragTriples

@@ -99,6 +99,16 @@ class AssemblySpec extends AnyFunSuite {
     assert(lecStats.pairTests + lecStats.featureJoinTests < basicStats.pairTests)
   }
 
+  test("basic assembly's join space on the hub example is pinned") {
+    val triples = (0 until 12).flatMap(i => Seq((s"s$i", "p", "h"), ("h", "q", s"t$i")))
+    val g = RdfGraph.fromStrings(triples)
+    val owners = g.vertexIds.map(v => v -> (if (g.dict.str(v).startsWith("s")) 0 else 1)).toMap
+    val q = QueryGraph.of("?x p ?y", "?y q ?z").encode(g.dict).get
+    val (matches, st) = Assembly.basic(q, pmsOf(g, owners, q))
+    assert(matches.size == 144 && !st.dnf)
+    assert(st.pairTests == 1872)
+  }
+
   test("basic assembly reports DNF when over budget") {
     val triples = (0 until 12).flatMap(i => Seq((s"s$i", "p", "h"), ("h", "q", s"t$i")))
     val g = RdfGraph.fromStrings(triples)

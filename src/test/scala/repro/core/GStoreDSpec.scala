@@ -145,6 +145,18 @@ class GStoreDSpec extends SparkSpec {
     assert(s.lecShipmentBytes > 0 && s.candShipmentBytes > 0)
   }
 
+  for (lvl <- Seq(OptLevel.LO, OptLevel.Full)) {
+    test(s"LQ1 at ${lvl.name} leaves no cached Dataset behind") {
+      val dg = dgs("LUBM")
+      dg.fragTriples.count() // materialise the store's own cache first
+      val (_, q, _) = workloads.head.queries.find(_._1 == "LQ1").get
+      val before = spark.sparkContext.getPersistentRDDs.size
+      val res = GStoreD.evaluate(dg, q, lvl)
+      res.matches.collect()
+      assert(spark.sparkContext.getPersistentRDDs.size == before)
+    }
+  }
+
   test("LO prunes LPMs before assembly on LQ1") {
     val w = workloads.head
     val (_, q, _) = w.queries.find(_._1 == "LQ1").get

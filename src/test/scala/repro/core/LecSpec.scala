@@ -94,6 +94,15 @@ class LecSpec extends AnyFunSuite {
     assert(!surviving.contains(LecFeature(1, Seq(Cross(1, a, p, b)), 4L)))
   }
 
+  test("Alg. 2 join space on the path example is pinned") {
+    val features = (pms0 ++ pms1).map(LecFeature.of).distinct.toIndexedSeq
+    val combos = LecPruning.combos(q, features)
+    assert(combos.complete == Vector(Vector(0, 1, 3)))
+    assert(combos.surviving == Set(0, 1, 3))
+    assert(combos.stats.statesExplored == 7)
+    assert(combos.stats.completeCombos == 1)
+  }
+
   test("Alg. 2 on an empty feature set") {
     val combos = LecPruning.combos(q, IndexedSeq.empty)
     assert(combos.complete.isEmpty && combos.surviving.isEmpty)
@@ -101,7 +110,7 @@ class LecSpec extends AnyFunSuite {
 
   test("Alg. 2 state cap fails loudly") {
     val features = (pms0 ++ pms1).map(LecFeature.of).distinct.toIndexedSeq
-    intercept[IllegalStateException](LecPruning.combos(q, features, maxStates = 1))
+    intercept[IllegalStateException](LecPruning.combos(q, features, budget = 1))
   }
 
   test("pruning never changes assembled results (randomized)") {
