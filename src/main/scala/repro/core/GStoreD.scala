@@ -44,9 +44,12 @@ final case class Stats(
 final case class QueryResult(matches: DataFrame, stats: Stats)
 
 /** The distributed engine: gStore-style attribute folding, partial
-  * evaluation on Spark (one task group per fragment ≙ one site), LEC
+  * evaluation on Spark (one task per resident fragment ≙ one site), LEC
   * shipping/pruning and assembly at the coordinator (the driver), star
   * queries short-circuited to a pure Catalyst join plan per §VIII-B.
+  *
+  * A result's `matches` is a frame over rows already collected to the
+  * driver: the engine leaves nothing cached behind a query.
   */
 object GStoreD {
 
@@ -60,9 +63,18 @@ object GStoreD {
   ): QueryResult = {
     val spark = dg.spark
     val vars = query.variables
+    // core.variables == query.variables (folding drops no variables)
     val schema = StructType(vars.map(v => StructField(v, LongType, nullable = false)))
-    def emptyResult(stats: Stats): QueryResult =
-      QueryResult(spark.createDataFrame(spark.sparkContext.emptyRDD[Row], schema), stats)
+    def result(rows: Seq[Row], stats: Stats): QueryResult = {
+      val rdd = spark.sparkContext.parallelize(rows, math.max(1, spark.sparkContext.defaultParallelism / 4))
+      QueryResult(spark.createDataFrame(rdd, schema), stats)
+    }
+    // star and all-attribute queries: one Catalyst plan, collected once
+    def collected(df: => DataFrame): QueryResult = {
+      val t0 = System.nanoTime()
+      val rows = df.distinct().collect().toSeq
+      result(rows, Stats(lpmTimeMs = (System.nanoTime() - t0) / 1000000, numMatches = rows.size, starFastPath = true))
+    }
 
     val dict = dg.graph.dict
     val folded = query.fold(dg.attrPreds)
@@ -76,28 +88,23 @@ object GStoreD {
       }
       if (entries.exists(_.isEmpty)) None else Some(entries.flatten.toMap)
     }
-    if (encodedCons.isEmpty) return emptyResult(Stats(starFastPath = true))
+    if (encodedCons.isEmpty) return result(Nil, Stats(starFastPath = true))
     val cons = encodedCons.get
 
     folded.core match {
       case None =>
         // every pattern folded away: a single-vertex signature scan
         require(cons.size == 1, s"unsupported all-attribute query over ${cons.size} subjects")
-        val t0 = System.nanoTime()
         val (term, cs) = cons.head
-        val df = scanEval(dg, term, cs) match {
+        scanEval(dg, term, cs) match {
           case Some(d) =>
             term match {
-              case Term.Var(n) => d.withColumnRenamed("__c", n).select(vars.map(col): _*)
+              case Term.Var(n) => collected(d.withColumnRenamed("__c", n).select(vars.map(col): _*))
               case Term.Const(_) => // boolean query: non-empty scan, no variables
-                d.limit(1).drop("__c")
+                collected(d.limit(1).drop("__c"))
             }
-          case None => return emptyResult(Stats(starFastPath = true))
+          case None => result(Nil, Stats(starFastPath = true))
         }
-        val cached = df.distinct().cache()
-        val n = cached.count()
-        QueryResult(cached, Stats(lpmTimeMs = (System.nanoTime() - t0) / 1000000,
-          numMatches = n, starFastPath = true))
 
       case Some(core) =>
         // constraints on terms outside the core: only constant subjects are
@@ -105,19 +112,22 @@ object GStoreD {
         val (onCore, offCore) = cons.partition { case (t, _) => core.vertexTerms.contains(t) }
         offCore.foreach {
           case (Term.Const(u), cs) =>
-            val sid = dict.idOpt(u).getOrElse(return emptyResult(Stats(starFastPath = true)))
-            if (scanExistence(dg, sid, cs).isEmpty) return emptyResult(Stats(starFastPath = true))
+            val sid = dict.idOpt(u).getOrElse(return result(Nil, Stats(starFastPath = true)))
+            if (scanExistence(dg, sid, cs).isEmpty) return result(Nil, Stats(starFastPath = true))
           case (Term.Var(n), _) =>
             throw new UnsupportedOperationException(
               s"constraint on variable ?$n disconnected from the entity core")
         }
         core.encode(dict) match {
-          case None => emptyResult(Stats())
+          case None => result(Nil, Stats())
           case Some(q0) =>
             val consByIdx = onCore.map { case (t, cs) => core.vertexTerms.indexOf(t) -> cs }
             val q = q0.copy(constraints = consByIdx)
-            if (core.isStar) evaluateStar(dg, core, q)
-            else evaluateGeneral(dg, core, q, opt, bitLen, maxPMs, basicBudget)
+            if (core.isStar) collected(starEval(dg, core, q))
+            else {
+              val (rows, stats) = evaluateGeneral(dg, q, opt, bitLen, maxPMs, basicBudget)
+              result(rows, stats)
+            }
         }
     }
   }
@@ -196,113 +206,103 @@ object GStoreD {
         case _                     => col(v)
       }
     }
-    joined.select(selectCols: _*).distinct()
+    joined.select(selectCols: _*)
   }
 
-  private def evaluateStar(
-      dg: DistributedGraph,
-      core: QueryGraph,
-      q: EncodedQuery,
-  ): QueryResult = {
-    val t0 = System.nanoTime()
-    val df = starEval(dg, core, q).cache()
-    val n = df.count()
-    val ms = (System.nanoTime() - t0) / 1000000
-    QueryResult(df, Stats(lpmTimeMs = ms, numMatches = n, starFastPath = true))
-  }
-
+  /** Alg. 4, then Def.-5 partial evaluation and Alg. 2 pruning as at most
+    * two jobs over one per-query RDD of the sites' `LocalMatcher` output,
+    * then assembly at the coordinator.
+    */
   private def evaluateGeneral(
       dg: DistributedGraph,
-      core: QueryGraph,
       q: EncodedQuery,
       opt: OptLevel,
       bitLen: Int,
       maxPMs: Int,
       basicBudget: Long,
-  ): QueryResult = {
-    val spark = dg.spark
-    import spark.implicits._
-
+  ): (Seq[Row], Stats) = {
     // -- stage 1: assembling variables' internal candidates (Full only) ----
     val cand =
       if (opt == OptLevel.Full) CandidateExchange.run(dg, q, bitLen)
       else CandidateExchange.Result(CandidateBits.empty, 0L, 0L)
 
-    // -- stage 2: local partial match computation (one task per fragment) --
+    // -- stage 2: local partial match computation (one task per site) ------
     val t1 = System.nanoTime()
     val bits = cand.bits
-    val all = dg.fragTriples
-      .groupByKey(_.frag)
-      .flatMapGroups((f, it) => LocalMatcher.run(f, it, q, bits, maxPMs))
-      .cache()
     val full = q.fullMask
-    val completeLocal = all.filter(pm => pm.sign == full && pm.cross.isEmpty)
-    val lpmDs = all.filter(pm => !(pm.sign == full && pm.cross.isEmpty))
-    val numLpms = lpmDs.count()
-    val lpmTimeMs = (System.nanoTime() - t1) / 1000000
+    val sites = dg.fragTriples.rdd
+      .mapPartitionsWithIndex((f, it) => LocalMatcher.run(f, it, q, bits, maxPMs).iterator)
+      .cache()
+    try {
+      // LO/Full sites ship their complete local matches, LPM count and
+      // deduplicated LEC features, and later only the LPMs that survive
+      // pruning. Basic and LA collect every LPM as part of assembly; LA
+      // derives its features from them at the coordinator, with no extra
+      // communication.
+      val pruned = opt == OptLevel.LO || opt == OptLevel.Full
+      val (complete, numLpms, lpms, siteFeatures) =
+        if (pruned) {
+          val perSite = sites.mapPartitions { it =>
+            val (complete, lpms) = it.toVector.partition(_.isCompleteLocal(full))
+            Iterator((complete, lpms.size, lpms.map(LecFeature.of).distinct))
+          }.collect()
+          (perSite.flatMap(_._1).toIndexedSeq, perSite.map(_._2.toLong).sum,
+            IndexedSeq.empty[PMRow], perSite.flatMap(_._3).toIndexedSeq)
+        } else {
+          val (complete, lpms) = sites.collect().toIndexedSeq.partition(_.isCompleteLocal(full))
+          (complete, lpms.size.toLong, lpms, IndexedSeq.empty[LecFeature])
+        }
+      val lpmTimeMs = (System.nanoTime() - t1) / 1000000
 
-    // -- stage 3: LEC features and pruning (Alg. 2) -------------------------
-    // LO/Full ship features from the sites and collect only the LPMs that
-    // survive pruning. Basic and LA collect every LPM as part of assembly;
-    // LA derives its features from them at the coordinator, with no extra
-    // communication.
-    val t2 = System.nanoTime()
-    val pruned = opt == OptLevel.LO || opt == OptLevel.Full
-    val (features, combos, kept) = opt match {
-      case OptLevel.Basic => (IndexedSeq.empty[LecFeature], None, lpmDs.collect().toIndexedSeq)
-      case OptLevel.LA =>
-        val lpms = lpmDs.collect().toIndexedSeq
-        val features = lpms.map(LecFeature.of).distinct
-        (features, Some(LecPruning.combos(q, features)), lpms)
-      case OptLevel.LO | OptLevel.Full =>
-        val features = lpmDs.map(LecFeature.of).distinct().collect().toIndexedSeq
-        val combos = LecPruning.combos(q, features)
-        val survB = spark.sparkContext.broadcast(combos.surviving.map(features))
-        val kept = lpmDs.filter(pm => survB.value.contains(LecFeature.of(pm))).collect().toIndexedSeq
-        (features, Some(combos), kept)
-    }
-    val lecTimeMs = if (pruned) (System.nanoTime() - t2) / 1000000 else 0L
-    val lecShipment = if (pruned) features.map(_.byteSize(q.n)).sum else 0L
+      // -- stage 3: LEC features and pruning (Alg. 2) -----------------------
+      val t2 = System.nanoTime()
+      val (features, combos, kept) = opt match {
+        case OptLevel.Basic => (IndexedSeq.empty[LecFeature], None, lpms)
+        case OptLevel.LA =>
+          val features = lpms.map(LecFeature.of).distinct
+          (features, Some(LecPruning.combos(q, features)), lpms)
+        case OptLevel.LO | OptLevel.Full =>
+          val combos = LecPruning.combos(q, siteFeatures)
+          val survB = dg.spark.sparkContext.broadcast(combos.surviving.map(siteFeatures))
+          val kept =
+            try sites.filter(pm => !pm.isCompleteLocal(full) && survB.value.contains(LecFeature.of(pm)))
+              .collect().toIndexedSeq
+            finally survB.destroy()
+          (siteFeatures, Some(combos), kept)
+      }
+      val lecTimeMs = if (pruned) (System.nanoTime() - t2) / 1000000 else 0L
+      val lecShipment = if (pruned) features.map(_.byteSize(q.n)).sum else 0L
 
-    // -- stage 4: assembly at the coordinator -------------------------------
-    val t3 = if (pruned) System.nanoTime() else t2
-    val (crossMatches, asmStats) = combos match {
-      case None    => Assembly.basic(q, kept, basicBudget)
-      case Some(c) => Assembly.lec(q, kept, features, c)
-    }
-    val localMatches = completeLocal.collect().toVector.map(_.bind.toVector)
-    val varIdx = (0 until q.n).filter(q.vertices(_).isVar)
-    val allMatches = (crossMatches ++ localMatches).map(b => varIdx.map(b)).distinct
-    val crossDistinct = crossMatches.map(b => varIdx.map(b)).distinct
-    val assemblyTimeMs = (System.nanoTime() - t3) / 1000000
+      // -- stage 4: assembly at the coordinator -----------------------------
+      val t3 = if (pruned) System.nanoTime() else t2
+      val (crossMatches, asmStats) = combos match {
+        case None    => Assembly.basic(q, kept, basicBudget)
+        case Some(c) => Assembly.lec(q, kept, features, c)
+      }
+      val localMatches = complete.map(_.bind.toVector)
+      val varIdx = (0 until q.n).filter(q.vertices(_).isVar)
+      val allMatches = (crossMatches ++ localMatches).map(b => varIdx.map(b)).distinct
+      val crossDistinct = crossMatches.map(b => varIdx.map(b)).distinct
+      val assemblyTimeMs = (System.nanoTime() - t3) / 1000000
 
-    // core.variables == query.variables (folding drops no variables)
-    val schema = StructType(core.variables.map(v => StructField(v, LongType, nullable = false)))
-    val df = spark.createDataFrame(
-      spark.sparkContext.parallelize(
+      (
         allMatches.map(m => Row.fromSeq(m)),
-        math.max(1, spark.sparkContext.defaultParallelism / 4)),
-      schema,
-    )
-    all.unpersist()
-
-    QueryResult(
-      df,
-      Stats(
-        candTimeMs = cand.timeMs,
-        candShipmentBytes = cand.shipmentBytes,
-        lpmTimeMs = lpmTimeMs,
-        lecTimeMs = lecTimeMs,
-        lecShipmentBytes = lecShipment,
-        assemblyTimeMs = assemblyTimeMs,
-        numLpms = numLpms,
-        numLpmsKept = kept.size,
-        numFeatures = features.size,
-        numMatches = allMatches.size,
-        numCrossingMatches = crossDistinct.size,
-        asmPairTests = asmStats.pairTests,
-        asmDnf = asmStats.dnf,
-      ),
-    )
+        Stats(
+          candTimeMs = cand.timeMs,
+          candShipmentBytes = cand.shipmentBytes,
+          lpmTimeMs = lpmTimeMs,
+          lecTimeMs = lecTimeMs,
+          lecShipmentBytes = lecShipment,
+          assemblyTimeMs = assemblyTimeMs,
+          numLpms = numLpms,
+          numLpmsKept = kept.size,
+          numFeatures = features.size,
+          numMatches = allMatches.size,
+          numCrossingMatches = crossDistinct.size,
+          asmPairTests = asmStats.pairTests,
+          asmDnf = asmStats.dnf,
+        ),
+      )
+    } finally sites.unpersist()
   }
 }

@@ -36,8 +36,8 @@ object LecFeature {
   /** Alg. 1 on one LPM — a linear scan of its crossing-edge mappings.
     * (`PMRow.cross` is already the `(data edge, query edge)` mapping list
     * and `PMRow.sign` the LECSign, so extraction is a projection; the
-    * set-level dedup of Alg. 1 line 15 happens via `Dataset.distinct` at
-    * the sites under LO/Full, and on the driver's collected LPMs under LA.)
+    * set-level dedup of Alg. 1 line 15 happens in each site's task under
+    * LO/Full, and on the driver's collected LPMs under LA.)
     */
   def of(pm: PMRow): LecFeature = LecFeature(pm.frag, pm.cross, pm.sign)
 }

@@ -18,9 +18,10 @@ import scala.collection.mutable
   * Equivalence with a literal brute-force check of Def. 5's six conditions
   * is asserted by `LocalMatcherSpec`.
   *
-  * This runs inside `Dataset.groupByKey(_.frag).flatMapGroups`, i.e. one
-  * invocation per fragment, in parallel across Spark tasks — the paper's
-  * per-site partial evaluation stage.
+  * This runs once per site, as one Spark task over that fragment's resident
+  * partition of `DistributedGraph.fragTriples`, in parallel across sites —
+  * the paper's per-site partial evaluation stage. The indexes below are
+  * built from the partition's rows on each run.
   */
 object LocalMatcher {
 

@@ -1,7 +1,7 @@
 package repro.part
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.rdf.RdfGraph
 
 /** One stored triple of a fragment: `frag` hosts it, `sFrag`/`oFrag` are the
@@ -13,8 +13,10 @@ final case class FragTriple(frag: Int, s: Long, p: Long, o: Long, sFrag: Int, oF
 }
 
 /** A distributed RDF graph (Def. 1): the triple set exploded into per-
-  * fragment stores with crossing-edge replicas, as a typed Dataset built
-  * with DataFrame joins against the vertex-owner table.
+  * fragment stores with crossing-edge replicas. `fragTriples` is the one
+  * resident copy of the sites: partition `i` of its RDD holds exactly
+  * fragment `i`, so a `mapPartitionsWithIndex` over `fragTriples.rdd` is one
+  * round of work at every site (§III).
   */
 final class DistributedGraph(
     val spark: SparkSession,
@@ -59,8 +61,9 @@ final class DistributedGraph(
 object DistributedGraph {
 
   /** Partition `g` with `partitioner` into `k` fragments and build the
-    * fragment stores. The owner table is joined in as a DataFrame (the
-    * partitioner output is small: one row per vertex).
+    * fragment stores: each triple goes to its host fragments through a
+    * broadcast of the owner map (one row per vertex), and one shuffle puts
+    * fragment `i` in partition `i`.
     *
     * `attrPreds` are gStore-style attribute predicates (rdf:type, literal
     * attributes): their edges are stored only with the subject and never
@@ -85,22 +88,22 @@ object DistributedGraph {
   ): DistributedGraph = {
     import spark.implicits._
     require(g.vertexIds.forall(owners.contains), "partitioner must cover every vertex")
-    val attrIds = attrPreds.flatMap(g.dict.idOpt).toSeq
-    val ownersDf = owners.toSeq.toDF("v", "f")
-    var withOwners = g
-      .df(spark)
-      .join(ownersDf.withColumnRenamed("v", "s").withColumnRenamed("f", "sFrag"), Seq("s"))
-      .join(ownersDf.withColumnRenamed("v", "o").withColumnRenamed("f", "oFrag"), Seq("o"))
-    if (attrIds.nonEmpty)
-      withOwners = withOwners.withColumn(
-        "oFrag",
-        when($"p".isin(attrIds: _*), $"sFrag").otherwise($"oFrag"),
-      )
+    require(owners.valuesIterator.forall(f => 0 <= f && f < k), s"owners must lie in [0, $k)")
+    val attrIds = attrPreds.flatMap(g.dict.idOpt)
+    val ownersB = spark.sparkContext.broadcast(owners)
     // host fragments: owner of s, plus owner of o when the edge crosses
-    val frags = withOwners
-      .withColumn("frag", explode(array_distinct(array($"sFrag", $"oFrag"))))
-      .select($"frag".cast("int"), $"s", $"p", $"o", $"sFrag".cast("int"), $"oFrag".cast("int"))
-      .as[FragTriple]
+    val rows = spark.sparkContext
+      .parallelize(g.triples)
+      .flatMap { case (s, p, o) =>
+        val sFrag = ownersB.value(s)
+        val oFrag = if (attrIds(p)) sFrag else ownersB.value(o)
+        val hosts = if (sFrag == oFrag) Seq(sFrag) else Seq(sFrag, oFrag)
+        hosts.map(f => f -> FragTriple(f, s, p, o, sFrag, oFrag))
+      }
+      .partitionBy(new HashPartitioner(k)) // partition f = fragment f
+      .values
+    // sorted rows compress well in the columnar cache
+    val frags = spark.createDataset(rows).sortWithinPartitions("p", "o", "s")
     new DistributedGraph(spark, k, g, owners, frags.cache(), attrPreds)
   }
 }

@@ -1,8 +1,10 @@
 package repro.core
 
+import org.apache.spark.SparkException
 import repro.{Oracle, SparkSpec}
 import repro.bench.Workloads
 import repro.part.{DistributedGraph, Partitioners}
+import repro.rdf.LubmData
 
 /** End-to-end: gStoreD (all opt levels, all partitioners) vs the DuckDB
   * oracle on every benchmark query of the three workloads.
@@ -155,6 +157,30 @@ class GStoreDSpec extends SparkSpec {
       res.matches.collect()
       assert(spark.sparkContext.getPersistentRDDs.size == before)
     }
+  }
+
+  test("a blown maxPMs budget leaves no cached Dataset behind") {
+    val dg = dgs("LUBM")
+    dg.fragTriples.count()
+    val (_, q, _) = workloads.head.queries.find(_._1 == "LQ1").get
+    val before = spark.sparkContext.getPersistentRDDs.size
+    intercept[SparkException](GStoreD.evaluate(dg, q, OptLevel.Full, maxPMs = 3))
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
+  }
+
+  test("star and all-attribute results are not cached, even on a repeat") {
+    val w = workloads.head
+    val dg = dgsFolded(w.name)
+    dg.fragTriples.count()
+    val (_, lq2, _) = w.queries.find(_._1 == "LQ2").get
+    val scan = QueryGraph.of(s"?x ${LubmData.ptype} ${LubmData.FullProfessor}")
+    assert(lq2.fold(dg.attrPreds).core.exists(_.isStar) && scan.fold(dg.attrPreds).core.isEmpty)
+    val before = spark.sparkContext.getPersistentRDDs.size
+    for (q <- Seq(lq2, lq2, scan, scan)) {
+      val res = GStoreD.evaluate(dg, q)
+      assert(res.matches.count() == res.stats.numMatches && res.stats.numMatches > 0)
+    }
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
   }
 
   test("LO prunes LPMs before assembly on LQ1") {

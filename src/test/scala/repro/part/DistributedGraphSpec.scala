@@ -74,6 +74,22 @@ class DistributedGraphSpec extends SparkSpec {
     assert(perFrag.values.sum == 2L * manual)
   }
 
+  test("partition i of the store holds exactly fragment i") {
+    // fragment 1 of the second store is empty; the third has one fragment
+    val halves = g.vertexIds.map(v => v -> (if (v % 2 == 0) 0 else 2)).toMap
+    val stores = Seq(dg, DistributedGraph.fromOwners(spark, g, halves, 3),
+      DistributedGraph.build(spark, g, Partitioners.Hash, 1))
+    stores.foreach { d =>
+      assert(d.fragTriples.rdd.getNumPartitions == d.k)
+      val frags = d.fragTriples.rdd
+        .mapPartitionsWithIndex((i, it) => Iterator(i -> it.map(_.frag).toSet))
+        .collect().toMap
+      (0 until d.k).foreach(i => assert(frags(i).subsetOf(Set(i)), s"partition $i of k=${d.k}"))
+    }
+    assert(stores(1).storedEdgesPerFrag.keySet == Set(0, 2))
+    stores.drop(1).foreach(_.fragTriples.unpersist())
+  }
+
   test("build rejects partial owner maps") {
     intercept[IllegalArgumentException] {
       DistributedGraph.fromOwners(spark, g, Map(g.vertexIds.head -> 0), k)
