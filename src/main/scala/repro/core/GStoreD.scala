@@ -1,9 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import repro.part.DistributedGraph
+import scala.jdk.CollectionConverters._
 
 /** Optimization levels matching the §VIII-C ablation:
   * `Basic` = VLDBJ'16 framework (no LEC, no candidate exchange);
@@ -45,10 +45,12 @@ final case class QueryResult(matches: DataFrame, stats: Stats)
 
 /** The distributed engine: gStore-style attribute folding, partial
   * evaluation on Spark (one task per resident fragment ≙ one site), LEC
-  * shipping/pruning and assembly at the coordinator (the driver), star
-  * queries short-circuited to a pure Catalyst join plan per §VIII-B.
+  * shipping/pruning and assembly at the coordinator (the driver). Star
+  * queries skip candidate exchange, LEC and assembly (§VIII-B), and
+  * all-attribute queries are one signature scan; each is one pass over the
+  * sites.
   *
-  * A result's `matches` is a frame over rows already collected to the
+  * A result's `matches` is a local frame over rows already collected to the
   * driver: the engine leaves nothing cached behind a query.
   */
 object GStoreD {
@@ -61,49 +63,36 @@ object GStoreD {
       maxPMs: Int = 5_000_000,
       basicBudget: Long = 20_000_000L,
   ): QueryResult = {
-    val spark = dg.spark
     val vars = query.variables
-    // core.variables == query.variables (folding drops no variables)
+    // folding drops no variables, so the core binds every column
     val schema = StructType(vars.map(v => StructField(v, LongType, nullable = false)))
-    def result(rows: Seq[Row], stats: Stats): QueryResult = {
-      val rdd = spark.sparkContext.parallelize(rows, math.max(1, spark.sparkContext.defaultParallelism / 4))
-      QueryResult(spark.createDataFrame(rdd, schema), stats)
-    }
-    // star and all-attribute queries: one Catalyst plan, collected once
-    def collected(df: => DataFrame): QueryResult = {
+    def result(rows: Seq[Row], stats: Stats): QueryResult =
+      QueryResult(dg.spark.createDataFrame(rows.asJava, schema), stats)
+    def empty: QueryResult = result(Nil, Stats(starFastPath = true))
+    // star and all-attribute queries: one pass over the sites
+    def fastPath(rows: => Seq[Row]): QueryResult = {
       val t0 = System.nanoTime()
-      val rows = df.distinct().collect().toSeq
-      result(rows, Stats(lpmTimeMs = (System.nanoTime() - t0) / 1000000, numMatches = rows.size, starFastPath = true))
+      val rs = rows
+      result(rs, Stats(lpmTimeMs = (System.nanoTime() - t0) / 1000000, numMatches = rs.size, starFastPath = true))
     }
 
     val dict = dg.graph.dict
     val folded = query.fold(dg.attrPreds)
 
     // encode all attribute constraints up-front; a missing constant => empty
-    val encodedCons: Option[Map[Term, Seq[(Long, Long)]]] = {
-      val entries = folded.constraints.toSeq.map { case (t, cs) =>
-        val ids = cs.map { case (p, o) => (dict.idOpt(p), dict.idOpt(o)) }
-        if (ids.exists(x => x._1.isEmpty || x._2.isEmpty)) None
-        else Some(t -> ids.map { case (p, o) => (p.get, o.get) })
-      }
-      if (entries.exists(_.isEmpty)) None else Some(entries.flatten.toMap)
+    val cons: Map[Term, Seq[(Long, Long)]] = folded.constraints.map { case (t, cs) =>
+      t -> cs.map { case (p, o) => (dict.idOpt(p).getOrElse(return empty), dict.idOpt(o).getOrElse(return empty)) }
     }
-    if (encodedCons.isEmpty) return result(Nil, Stats(starFastPath = true))
-    val cons = encodedCons.get
 
     folded.core match {
       case None =>
         // every pattern folded away: a single-vertex signature scan
         require(cons.size == 1, s"unsupported all-attribute query over ${cons.size} subjects")
         val (term, cs) = cons.head
-        scanEval(dg, term, cs) match {
-          case Some(d) =>
-            term match {
-              case Term.Var(n) => collected(d.withColumnRenamed("__c", n).select(vars.map(col): _*))
-              case Term.Const(_) => // boolean query: non-empty scan, no variables
-                collected(d.limit(1).drop("__c"))
-            }
-          case None => result(Nil, Stats(starFastPath = true))
+        term match {
+          case Term.Var(_) => fastPath(dg.attrSubjects(cs).toSeq.map(Row(_)))
+          case Term.Const(u) => // boolean query: one row with no columns when true
+            fastPath(dict.idOpt(u).filter(dg.attrSubjects(cs).contains).map(_ => Row()).toSeq)
         }
 
       case Some(core) =>
@@ -112,8 +101,8 @@ object GStoreD {
         val (onCore, offCore) = cons.partition { case (t, _) => core.vertexTerms.contains(t) }
         offCore.foreach {
           case (Term.Const(u), cs) =>
-            val sid = dict.idOpt(u).getOrElse(return result(Nil, Stats(starFastPath = true)))
-            if (scanExistence(dg, sid, cs).isEmpty) return result(Nil, Stats(starFastPath = true))
+            val sid = dict.idOpt(u).getOrElse(return empty)
+            if (!dg.attrSubjects(cs).contains(sid)) return empty
           case (Term.Var(n), _) =>
             throw new UnsupportedOperationException(
               s"constraint on variable ?$n disconnected from the entity core")
@@ -123,90 +112,42 @@ object GStoreD {
           case Some(q0) =>
             val consByIdx = onCore.map { case (t, cs) => core.vertexTerms.indexOf(t) -> cs }
             val q = q0.copy(constraints = consByIdx)
-            if (core.isStar) collected(starEval(dg, core, q))
-            else {
-              val (rows, stats) = evaluateGeneral(dg, q, opt, bitLen, maxPMs, basicBudget)
-              result(rows, stats)
+            // the result's columns, as core vertices: the core may order them differently
+            val varIdx = vars.map(v => core.vertexTerms.indexOf(Term.Var(v)))
+            core.starCenter.filter(c => consByIdx.keys.forall(_ == c)) match {
+              case Some(center) => fastPath(starRows(dg, q, center, varIdx, maxPMs))
+              case None =>
+                val (rows, stats) = evaluateGeneral(dg, q, varIdx, opt, bitLen, maxPMs, basicBudget)
+                result(rows, stats)
             }
         }
     }
   }
 
-  /** Internal vertices carrying all attribute edges `(p, o)` in `cs`:
-    * DataFrame with column `__c`. `None` when a filter id is absent.
+  /** §VIII-B star path: crossing edges are replicated, so every match of a
+    * star lies in its centre's owner fragment. One task per site runs
+    * `LocalMatcher` and keeps the rows whose internal core `I` holds the
+    * centre: such a row binds every vertex and checks every edge and the
+    * centre's constraints, and the centre is internal at one site only. A
+    * leaf's constraints are checked only at the leaf's owner, so a star with
+    * one takes the general path.
     */
-  private def scanEval(dg: DistributedGraph, term: Term, cs: Seq[(Long, Long)]): Option[DataFrame] = {
-    import dg.spark.implicits._
-    val dict = dg.graph.dict
-    val base = cs.map { case (p, o) => dg.attrSubjects(p, o).select($"s".as("__c")) }
-      .reduce((a, b) => a.join(b, Seq("__c")))
-    term match {
-      case Term.Const(u) =>
-        dict.idOpt(u).map(id => base.filter($"__c" === id))
-      case Term.Var(_) => Some(base)
-    }
-  }
-
-  private def scanExistence(dg: DistributedGraph, sid: Long, cs: Seq[(Long, Long)]): Option[Unit] = {
-    import dg.spark.implicits._
-    val ok = cs.forall { case (p, o) =>
-      !dg.fragTriples.filter($"s" === sid && $"p" === p && $"o" === o).isEmpty
-    }
-    if (ok) Some(()) else None
-  }
-
-  /** §VIII-B star fast path: crossing edges are replicated, so every match
-    * of a star query lies wholly in the center's owner fragment; evaluation
-    * is a Catalyst join pipeline with no communication and no LPMs.
-    * Center constraints filter per fragment; leaf-variable constraints join
-    * on the value (their attribute edges live at the leaf's owner).
-    */
-  private[core] def starEval(
+  private def starRows(
       dg: DistributedGraph,
-      core: QueryGraph,
       q: EncodedQuery,
-  ): DataFrame = {
-    import dg.spark.implicits._
-    val center = core.starCenter.get
-    val centerTerm = core.vertexTerms(center)
-
-    val parts = q.edges.map { e =>
-      var df = dg.fragTriples.toDF()
-      if (e.predId >= 0) df = df.filter($"p" === e.predId)
-      val centerIsSrc = e.src == center
-      df =
-        if (centerIsSrc) df.filter($"sFrag" === $"frag")
-        else df.filter($"oFrag" === $"frag")
-      val cq = q.vertices(center)
-      if (!cq.isVar) df = df.filter((if (centerIsSrc) $"s" else $"o") === cq.constId)
-      if (e.src == e.dst) df = df.filter($"s" === $"o") // self-loop pattern
-      val otherIdx = if (centerIsSrc) e.dst else e.src
-      val cols = Seq($"frag", (if (centerIsSrc) $"s" else $"o").as("__c"))
-      if (otherIdx == center) df.select(cols: _*)
-      else {
-        val oq = q.vertices(otherIdx)
-        val oCol = if (centerIsSrc) $"o" else $"s"
-        if (oq.isVar) df.select(cols :+ oCol.as(oq.varName): _*)
-        else df.filter(oCol === oq.constId).select(cols: _*)
+      center: Int,
+      varIdx: Seq[Int],
+      maxPMs: Int,
+  ): Seq[Row] = {
+    val centerBit = 1L << center
+    dg.fragTriples.rdd
+      .mapPartitionsWithIndex { (f, it) =>
+        LocalMatcher.run(f, it, q, CandidateBits.empty, maxPMs).iterator
+          .filter(pm => (pm.sign & centerBit) != 0)
+          .map(pm => varIdx.map(pm.bind))
       }
-    }
-    val consParts = q.constraints.toSeq.flatMap { case (vIdx, cs) =>
-      cs.map { case (p, o) =>
-        val base = dg.attrSubjects(p, o)
-        if (vIdx == center) base.select($"frag", $"s".as("__c")).distinct()
-        else base.select($"s".as(q.vertices(vIdx).varName)).distinct()
-      }
-    }
-    val joined = (parts ++ consParts).reduce { (a, b) =>
-      a.join(b, a.columns.intersect(b.columns).toSeq)
-    }
-    val selectCols = core.variables.map { v =>
-      centerTerm match {
-        case Term.Var(n) if n == v => col("__c").as(v)
-        case _                     => col(v)
-      }
-    }
-    joined.select(selectCols: _*)
+      // distinct: variable predicates and constants are not columns
+      .collect().distinct.map(Row.fromSeq).toSeq
   }
 
   /** Alg. 4, then Def.-5 partial evaluation and Alg. 2 pruning as at most
@@ -216,6 +157,7 @@ object GStoreD {
   private def evaluateGeneral(
       dg: DistributedGraph,
       q: EncodedQuery,
+      varIdx: Seq[Int],
       opt: OptLevel,
       bitLen: Int,
       maxPMs: Int,
@@ -280,7 +222,6 @@ object GStoreD {
         case Some(c) => Assembly.lec(q, kept, features, c)
       }
       val localMatches = complete.map(_.bind.toVector)
-      val varIdx = (0 until q.n).filter(q.vertices(_).isVar)
       val allMatches = (crossMatches ++ localMatches).map(b => varIdx.map(b)).distinct
       val crossDistinct = crossMatches.map(b => varIdx.map(b)).distinct
       val assemblyTimeMs = (System.nanoTime() - t3) / 1000000

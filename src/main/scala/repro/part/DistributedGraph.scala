@@ -39,11 +39,19 @@ final class DistributedGraph(
 
   lazy val numCrossingEdges: Long = crossingEdges.count()
 
-  /** Internal subjects carrying the attribute edge `p -> o` (a folded
-    * gStore signature filter): columns `frag` and `s`.
+  /** Internal subjects carrying every attribute edge `(p, o)` in `cs` (a
+    * folded gStore signature filter), in one pass over the sites: all of a
+    * subject's edges are stored at its owner, where it is internal.
     */
-  def attrSubjects(p: Long, o: Long): DataFrame =
-    fragTriples.toDF().filter($"p" === p && $"o" === o && $"sFrag" === $"frag").select($"frag", $"s")
+  def attrSubjects(cs: Seq[(Long, Long)]): Array[Long] = {
+    val want = cs.toSet
+    fragTriples.rdd
+      .mapPartitions { it =>
+        val carried = it.filter(t => t.sFrag == t.frag && want((t.p, t.o))).map(t => (t.s, t.p, t.o)).toSet
+        carried.groupBy(_._1).collect { case (s, es) if es.size == want.size => s }.iterator
+      }
+      .collect()
+  }
 
   /** |E_i^c| per fragment (crossing edges incident to the fragment). */
   lazy val crossingEdgesPerFrag: Map[Int, Long] =

@@ -56,16 +56,81 @@ class GStoreDSpec extends SparkSpec {
   }
 
   // --- star fast path -------------------------------------------------------
-  for ((wlName, qName) <- Seq(("lubm", "LQ2"), ("lubm", "LQ4"), ("lubm", "LQ5"),
-      ("btc", "BQ1"), ("btc", "BQ2"), ("btc", "BQ3"))) {
-    test(s"$qName runs on the star fast path with zero communication") {
+  for ((wlName, qName, folded) <- Seq(("lubm", "LQ2", false), ("lubm", "LQ4", false), ("lubm", "LQ5", false),
+      ("btc", "BQ1", false), ("btc", "BQ2", false), ("btc", "BQ3", false),
+      ("lubm", "LQ2", true), ("lubm", "LQ4", true), ("lubm", "LQ5", true))) {
+    test(s"$qName runs on the star fast path with zero communication${if (folded) " with attribute folding" else ""}") {
       val w = Workloads.byName(wlName, "test")
       val (_, q, _) = w.queries.find(_._1 == qName).get
-      val res = GStoreD.evaluate(dgs(w.name), q)
+      val res = GStoreD.evaluate((if (folded) dgsFolded else dgs)(w.name), q)
       val s = res.stats
       assert(s.starFastPath)
       assert(s.numCrossingMatches == 0 && s.numLpms == 0)
       assert(s.candShipmentBytes == 0 && s.lecShipmentBytes == 0)
+      if (folded) assert(s.numMatches > 0)
+    }
+  }
+
+  test("the star fast path respects maxPMs and leaves no cached Dataset behind") {
+    val dg = dgsFolded("LUBM")
+    dg.fragTriples.count()
+    val (_, q, _) = workloads.head.queries.find(_._1 == "LQ2").get
+    val before = spark.sparkContext.getPersistentRDDs.size
+    intercept[SparkException](GStoreD.evaluate(dg, q, OptLevel.Full, maxPMs = 3))
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
+  }
+
+  // --- star, scan and existence branches on the folded store ----------------
+  private def assertOracle(q: QueryGraph): QueryResult = {
+    val w = workloads.head
+    val res = GStoreD.evaluate(dgsFolded(w.name), q)
+    Oracle.assertEquivalent(res.matches, BgpSql.sql(q, w.graph.dict).get, "triples" -> w.graph.df(spark))
+    res
+  }
+
+  import LubmData.{Department, FullProfessor, GraduateStudent, University, advisor, dept, memberOf, ptype,
+    subOrganizationOf, undergraduateDegreeFrom, univ, worksFor}
+
+  test("a star with a leaf constraint matches the DuckDB oracle") {
+    val q = QueryGraph.of(s"?x $advisor ?p", s"?p $ptype $FullProfessor", s"?x $ptype $GraduateStudent")
+    assert(q.fold(dgsFolded("LUBM").attrPreds).core.exists(_.isStar))
+    val res = assertOracle(q)
+    assert(res.stats.numMatches > 0 && !res.stats.starFastPath)
+  }
+
+  // folding moves the first variable behind another in the core's vertex
+  // order; the columns follow the query
+  test("columns follow the query's variable order on the star and general paths") {
+    val star = QueryGraph.of(s"?p $ptype $FullProfessor", s"?x $advisor ?p", s"?y $advisor ?p")
+    val general = QueryGraph.of(s"?y $ptype $University", s"?x $memberOf ?z",
+      s"?z $subOrganizationOf ?y", s"?x $undergraduateDegreeFrom ?y")
+    for ((q, onStar) <- Seq(star -> true, general -> false)) {
+      val res = assertOracle(q)
+      assert(res.matches.columns.toSeq == q.variables)
+      assert(res.stats.starFastPath == onStar && res.stats.numMatches > 0)
+    }
+  }
+
+  // BgpSql selects no column for a query without variables: ask instead
+  for ((what, nameOf, truth) <- Seq(("true", 0, true), ("false", 1, false))) {
+    test(s"a constant-subject all-attribute query is $what by the DuckDB oracle") {
+      val w = workloads.head
+      val prof = s"${dept(0, 0)}/prof0"
+      val q = QueryGraph.of(s"$prof $ptype $FullProfessor", s"$prof ${LubmData.name} lit://name/prof/0/0/$nameOf")
+      val res = GStoreD.evaluate(dgsFolded(w.name), q)
+      assert(res.matches.columns.isEmpty && res.matches.count() == (if (truth) 1 else 0))
+      val ask = "SELECT COUNT(*) > 0 AS ask FROM" + BgpSql.sql(q, w.graph.dict).get.stripPrefix("SELECT DISTINCT  FROM")
+      Oracle.assertEquivalent(spark.createDataFrame(Seq(Tuple1(res.matches.count() > 0))).toDF("ask"), ask,
+        "triples" -> w.graph.df(spark))
+    }
+  }
+
+  for ((what, cls, truth) <- Seq(("passes", University, true), ("fails", Department, false))) {
+    test(s"an off-core constant-subject check that $what matches the DuckDB oracle") {
+      val q = QueryGraph.of(s"?x $worksFor ${dept(0, 0)}", s"${univ(0)} $ptype $cls")
+      val core = q.fold(dgsFolded("LUBM").attrPreds).core.get
+      assert(!core.vertexTerms.contains(Term(univ(0))))
+      assert((assertOracle(q).stats.numMatches > 0) == truth)
     }
   }
 
