@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import repro.core.{QueryGraph, Term, TriplePattern}
 import repro.rdf.RdfGraph
+import scala.collection.mutable
 
 /** Shared BGP-over-DataFrames machinery for the comparison systems
   * (S2RDF, CliqueSquare, DREAM, S2X). Each baseline produces the same
@@ -85,14 +86,31 @@ object Plans {
   }
 }
 
+/** A comparison system over cached DataFrames: the triples, plus what its
+  * plans register with `cache` (per-predicate and per-query tables).
+  * `close()` releases them all, dependents before the tables they are built
+  * on.
+  */
+abstract class Baseline(spark: SparkSession, g: RdfGraph) extends AutoCloseable {
+  def evaluate(q: QueryGraph): DataFrame
+
+  private val cached = mutable.ArrayBuffer.empty[DataFrame]
+  protected def cache(df: DataFrame): DataFrame = { cached += df.cache(); df }
+  protected val triples: DataFrame = cache(g.df(spark))
+
+  def close(): Unit = {
+    cached.reverseIterator.foreach(_.unpersist())
+    cached.clear()
+  }
+}
+
 /** S2RDF [Schätzle et al., PVLDB'16]-lite: vertical partitioning — one
   * (cached) `vp_<pred>(s, o)` DataFrame per predicate — and BGPs compiled
   * to Spark SQL joins over the VP tables.
   */
-final class S2Rdf(spark: SparkSession, g: RdfGraph) {
-  private val triples = g.df(spark).cache()
+final class S2Rdf(spark: SparkSession, g: RdfGraph) extends Baseline(spark, g) {
   private val vp: Map[Long, DataFrame] =
-    g.predicateIds.map(p => p -> triples.filter(col("p") === p).select("s", "o").cache()).toMap
+    g.predicateIds.map(p => p -> cache(triples.filter(col("p") === p).select("s", "o"))).toMap
 
   def evaluate(q: QueryGraph): DataFrame = {
     val parts = q.patterns.map { tp =>
@@ -113,9 +131,7 @@ final class S2Rdf(spark: SparkSession, g: RdfGraph) {
   * n-ary star (clique) joins — patterns are grouped into stars, each star
   * is joined in one n-ary step, then star results are joined pairwise.
   */
-final class CliqueSquare(spark: SparkSession, g: RdfGraph) {
-  private val triples = g.df(spark).cache()
-
+final class CliqueSquare(spark: SparkSession, g: RdfGraph) extends Baseline(spark, g) {
   def evaluate(q: QueryGraph): DataFrame = {
     val parts = q.patterns.map(tp => Plans.patternDf(triples, tp, g))
     if (parts.exists(_.isEmpty)) return Plans.emptyResult(spark, q)
@@ -131,15 +147,14 @@ final class CliqueSquare(spark: SparkSession, g: RdfGraph) {
   * intermediate star results are joined. `lastIntermediate` exposes the
   * replication-induced intermediate-result volume the paper criticizes.
   */
-final class Dream(spark: SparkSession, g: RdfGraph) {
-  private val triples = g.df(spark).cache()
+final class Dream(spark: SparkSession, g: RdfGraph) extends Baseline(spark, g) {
   @volatile var lastIntermediate: Long = 0
 
   def evaluate(q: QueryGraph): DataFrame = {
     val parts = q.patterns.map(tp => Plans.patternDf(triples, tp, g))
     if (parts.exists(_.isEmpty)) return Plans.emptyResult(spark, q)
     val stars = Plans.starDecompose(q)
-    val starDfs = stars.map(ids => Plans.joinConnected(ids.map(i => parts(i).get)).cache())
+    val starDfs = stars.map(ids => cache(Plans.joinConnected(ids.map(i => parts(i).get))))
     lastIntermediate = starDfs.map(_.count()).sum // shipped between sites
     Plans.joinConnected(starDfs).select(q.variables.map(col): _*).distinct()
   }
@@ -150,13 +165,11 @@ final class Dream(spark: SparkSession, g: RdfGraph) {
   * exchanging per-variable candidate sets (the GraphX message rounds),
   * then the surviving candidates are joined.
   */
-final class S2X(spark: SparkSession, g: RdfGraph, rounds: Int = 2) {
-  private val triples = g.df(spark).cache()
-
+final class S2X(spark: SparkSession, g: RdfGraph, rounds: Int = 2) extends Baseline(spark, g) {
   def evaluate(q: QueryGraph): DataFrame = {
     var parts = q.patterns.map(tp => Plans.patternDf(triples, tp, g))
     if (parts.exists(_.isEmpty)) return Plans.emptyResult(spark, q)
-    var dfs = parts.map(_.get.cache())
+    var dfs = parts.map(p => cache(p.get))
     for (_ <- 0 until rounds) {
       // per-variable valid sets = intersection over incident patterns
       val valid: Map[String, DataFrame] = q.variables.map { v =>

@@ -134,10 +134,12 @@ object ComparisonTable {
 
   def run(spark: SparkSession, wl: Workloads.Workload, k: Int = 12): Vector[Row] = {
     val triples = wl.graph
-    val s2rdf = new S2Rdf(spark, triples)
-    val cs = new CliqueSquare(spark, triples)
-    val dream = new Dream(spark, triples)
-    val s2x = new S2X(spark, triples)
+    val baselines = Seq(
+      "S2RDF" -> new S2Rdf(spark, triples),
+      "CliqueSquare" -> new CliqueSquare(spark, triples),
+      "DREAM" -> new Dream(spark, triples),
+      "S2X" -> new S2X(spark, triples),
+    )
     val dg = DistributedGraph.build(spark, wl.graph, Partitioners.Hash, k, wl.attrPreds)
     dg.fragTriples.count()
 
@@ -147,24 +149,20 @@ object ComparisonTable {
       ((System.nanoTime() - t0) / 1000000, n)
     }
 
-    val rows = wl.queries.flatMap { case (name, q, _) =>
+    try wl.queries.flatMap { case (name, q, _) =>
       val g = {
         val r = GStoreD.evaluate(dg, q)
         Row(name, "gStoreD", r.stats.totalTimeMs, r.stats.numMatches)
       }
-      val others = Seq(
-        "S2RDF" -> (() => s2rdf.evaluate(q).count()),
-        "CliqueSquare" -> (() => cs.evaluate(q).count()),
-        "DREAM" -> (() => dream.evaluate(q).count()),
-        "S2X" -> (() => s2x.evaluate(q).count()),
-      ).map { case (sys, run) =>
-        val (ms, n) = timed(run())
+      val others = baselines.map { case (sys, b) =>
+        val (ms, n) = timed(b.evaluate(q).count())
         Row(name, sys, ms, n)
       }
       g +: others
+    } finally {
+      dg.fragTriples.unpersist()
+      baselines.foreach(_._2.close())
     }
-    dg.fragTriples.unpersist()
-    rows
   }
 
   def render(wlName: String, rows: Seq[Row]): String = {

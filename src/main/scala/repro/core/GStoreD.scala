@@ -126,8 +126,8 @@ object GStoreD {
 
   /** §VIII-B star path: crossing edges are replicated, so every match of a
     * star lies in its centre's owner fragment. One task per site runs
-    * `LocalMatcher` and keeps the rows whose internal core `I` holds the
-    * centre: such a row binds every vertex and checks every edge and the
+    * `LocalMatcher` over only the internal cores `I` that hold the centre.
+    * Each row it returns binds every vertex and checks every edge and the
     * centre's constraints, and the centre is internal at one site only. A
     * leaf's constraints are checked only at the leaf's owner, so a star with
     * one takes the general path.
@@ -142,8 +142,7 @@ object GStoreD {
     val centerBit = 1L << center
     dg.fragTriples.rdd
       .mapPartitionsWithIndex { (f, it) =>
-        LocalMatcher.run(f, it, q, CandidateBits.empty, maxPMs).iterator
-          .filter(pm => (pm.sign & centerBit) != 0)
+        LocalMatcher.run(f, it, q, CandidateBits.empty, maxPMs, need = centerBit).iterator
           .map(pm => varIdx.map(pm.bind))
       }
       // distinct: variable predicates and constants are not columns
@@ -151,8 +150,10 @@ object GStoreD {
   }
 
   /** Alg. 4, then Def.-5 partial evaluation and Alg. 2 pruning as at most
-    * two jobs over one per-query RDD of the sites' `LocalMatcher` output,
-    * then assembly at the coordinator.
+    * two jobs over the sites' `LocalMatcher` output, then assembly at the
+    * coordinator. Each site's output is one `Array[PMRow]`: one cached block
+    * per site when LO/Full read it twice, uncached when Basic/LA collect it
+    * once.
     */
   private def evaluateGeneral(
       dg: DistributedGraph,
@@ -172,26 +173,26 @@ object GStoreD {
     val t1 = System.nanoTime()
     val bits = cand.bits
     val full = q.fullMask
-    val sites = dg.fragTriples.rdd
-      .mapPartitionsWithIndex((f, it) => LocalMatcher.run(f, it, q, bits, maxPMs).iterator)
-      .cache()
+    // LO/Full sites ship their complete local matches, LPM count and
+    // deduplicated LEC features, and later only the LPMs that survive
+    // pruning. Basic and LA collect every LPM as part of assembly; LA
+    // derives its features from them at the coordinator, with no extra
+    // communication.
+    val pruned = opt == OptLevel.LO || opt == OptLevel.Full
+    val blocks = dg.fragTriples.rdd
+      .mapPartitionsWithIndex((f, it) => Iterator.single(LocalMatcher.run(f, it, q, bits, maxPMs).toArray))
+    val sites = if (pruned) blocks.cache() else blocks
     try {
-      // LO/Full sites ship their complete local matches, LPM count and
-      // deduplicated LEC features, and later only the LPMs that survive
-      // pruning. Basic and LA collect every LPM as part of assembly; LA
-      // derives its features from them at the coordinator, with no extra
-      // communication.
-      val pruned = opt == OptLevel.LO || opt == OptLevel.Full
       val (complete, numLpms, lpms, siteFeatures) =
         if (pruned) {
-          val perSite = sites.mapPartitions { it =>
-            val (complete, lpms) = it.toVector.partition(_.isCompleteLocal(full))
-            Iterator((complete, lpms.size, lpms.map(LecFeature.of).distinct))
+          val perSite = sites.map { pms =>
+            val (complete, lpms) = pms.partition(_.isCompleteLocal(full))
+            (complete, lpms.length, lpms.map(LecFeature.of).distinct)
           }.collect()
           (perSite.flatMap(_._1).toIndexedSeq, perSite.map(_._2.toLong).sum,
             IndexedSeq.empty[PMRow], perSite.flatMap(_._3).toIndexedSeq)
         } else {
-          val (complete, lpms) = sites.collect().toIndexedSeq.partition(_.isCompleteLocal(full))
+          val (complete, lpms) = sites.collect().iterator.flatten.toIndexedSeq.partition(_.isCompleteLocal(full))
           (complete, lpms.size.toLong, lpms, IndexedSeq.empty[LecFeature])
         }
       val lpmTimeMs = (System.nanoTime() - t1) / 1000000
@@ -205,11 +206,16 @@ object GStoreD {
           (features, Some(LecPruning.combos(q, features)), lpms)
         case OptLevel.LO | OptLevel.Full =>
           val combos = LecPruning.combos(q, siteFeatures)
-          val survB = dg.spark.sparkContext.broadcast(combos.surviving.map(siteFeatures))
+          // no surviving feature: no site has an LPM to ship
           val kept =
-            try sites.filter(pm => !pm.isCompleteLocal(full) && survB.value.contains(LecFeature.of(pm)))
-              .collect().toIndexedSeq
-            finally survB.destroy()
+            if (combos.surviving.isEmpty) IndexedSeq.empty[PMRow]
+            else {
+              val survB = dg.spark.sparkContext.broadcast(combos.surviving.map(siteFeatures))
+              try sites.flatMap(_.iterator.filter(pm =>
+                  !pm.isCompleteLocal(full) && survB.value.contains(LecFeature.of(pm))))
+                .collect().toIndexedSeq
+              finally survB.destroy()
+            }
           (siteFeatures, Some(combos), kept)
       }
       val lecTimeMs = if (pruned) (System.nanoTime() - t2) / 1000000 else 0L
@@ -244,6 +250,6 @@ object GStoreD {
           asmDnf = asmStats.dnf,
         ),
       )
-    } finally sites.unpersist()
+    } finally if (pruned) sites.unpersist()
   }
 }

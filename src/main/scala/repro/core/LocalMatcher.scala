@@ -32,6 +32,8 @@ object LocalMatcher {
     * @param cand    Alg.-4 candidate bit vectors (use `CandidateBits.empty`
     *                to disable)
     * @param maxPMs  hard cap — fail loudly instead of hanging on a blowup
+    * @param need    query vertices every internal core must hold: cores
+    *                `I` with `(I & need) != need` are not searched
     */
   def run(
       frag: Int,
@@ -39,6 +41,7 @@ object LocalMatcher {
       q: EncodedQuery,
       cand: CandidateBits = CandidateBits.empty,
       maxPMs: Int = 5_000_000,
+      need: Long = 0L,
   ): Vector[PMRow] = {
     // ---- fragment indexes -------------------------------------------------
     val owner = mutable.HashMap.empty[Long, Int]
@@ -73,7 +76,7 @@ object LocalMatcher {
       else pairPreds.get((a, b)).map(_.toSeq.distinct).getOrElse(Nil)
 
     // ---- one search per internal core I -----------------------------------
-    for (imask <- q.connectedMasks) {
+    for (imask <- q.connectedMasks if (imask & need) == need) {
       val smask = imask | q.neighborhood(imask)
       val xmask = smask & ~imask
       // X == ∅ forces I == V^Q (Q is connected): the all-internal case.

@@ -3,6 +3,8 @@ package repro.baselines
 import repro.{Oracle, SparkSpec}
 import repro.bench.Workloads
 import repro.core.{BgpSql, QueryGraph}
+import repro.rdf.RdfGraph
+import scala.util.Using
 
 /** The four comparison systems against the DuckDB oracle / each other. */
 class BaselinesSpec extends SparkSpec {
@@ -15,16 +17,21 @@ class BaselinesSpec extends SparkSpec {
   private lazy val dreamL = new Dream(spark, lubm.graph)
   private lazy val s2xL = new S2X(spark, lubm.graph)
 
+  override def afterAll(): Unit =
+    try Seq(s2rdfL, csL, dreamL, s2xL).foreach(_.close())
+    finally super.afterAll()
+
   // S2RDF against the oracle on both workloads
   for ((wlName, wl) <- Seq("LUBM" -> (() => lubm), "YAGO2" -> (() => yago))) {
     for ((name, q, _) <- Workloads.byName(if (wlName == "LUBM") "lubm" else "yago", "test").queries) {
       test(s"S2RDF $name matches the oracle") {
         val w = wl()
-        val engine = new S2Rdf(spark, w.graph)
-        val res = engine.evaluate(q)
-        BgpSql.sql(q, w.graph.dict) match {
-          case Some(sql) => Oracle.assertEquivalent(res, sql, "triples" -> w.graph.df(spark))
-          case None      => assert(res.count() == 0)
+        Using.resource(new S2Rdf(spark, w.graph)) { engine =>
+          val res = engine.evaluate(q)
+          BgpSql.sql(q, w.graph.dict) match {
+            case Some(sql) => Oracle.assertEquivalent(res, sql, "triples" -> w.graph.df(spark))
+            case None      => assert(res.count() == 0)
+          }
         }
       }
     }
@@ -63,6 +70,23 @@ class BaselinesSpec extends SparkSpec {
     assert(csL.evaluate(q).count() == 0)
     assert(dreamL.evaluate(q).count() == 0)
     assert(s2xL.evaluate(q).count() == 0)
+  }
+
+  // a graph of its own: a baseline over a graph that another live one has
+  // cached shares that cache, and closing either releases it
+  for ((sys, make) <- Seq[(String, RdfGraph => Baseline)](
+      "S2RDF" -> (new S2Rdf(spark, _)), "CliqueSquare" -> (new CliqueSquare(spark, _)),
+      "DREAM" -> (new Dream(spark, _)), "S2X" -> (new S2X(spark, _)))) {
+    test(s"$sys releases every cache it made on close()") {
+      val g = RdfGraph.fromStrings(Seq(("a", "p", "b"), ("b", "q", "c"), ("c", "q", "a"), ("b", "p", "c")))
+      val q = QueryGraph.of("?x p ?y", "?y q ?z")
+      val before = spark.sparkContext.getPersistentRDDs.size
+      val b = make(g)
+      assert(b.evaluate(q).count() == 2)
+      assert(spark.sparkContext.getPersistentRDDs.size > before)
+      b.close()
+      assert(spark.sparkContext.getPersistentRDDs.size == before)
+    }
   }
 
   test("patternDf handles a repeated variable in one pattern") {

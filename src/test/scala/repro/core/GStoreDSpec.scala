@@ -224,6 +224,26 @@ class GStoreDSpec extends SparkSpec {
     }
   }
 
+  // the general path's Spark jobs: Basic and LA collect the sites' LPMs in
+  // one job; LO adds the kept-LPM round, Full also Alg. 4's exchange. No
+  // feature of LQ3 survives pruning, so Full skips the kept-LPM round.
+  for ((qName, lvl, jobs) <- Seq(("LQ1", OptLevel.Basic, 1), ("LQ1", OptLevel.LA, 1), ("LQ1", OptLevel.LO, 2),
+      ("LQ1", OptLevel.Full, 3), ("LQ3", OptLevel.Full, 2))) {
+    test(s"$qName at ${lvl.name} runs $jobs Spark job${if (jobs > 1) "s" else ""} and caches nothing") {
+      val dg = dgs("LUBM")
+      dg.fragTriples.count()
+      val (_, q, _) = workloads.head.queries.find(_._1 == qName).get
+      val sc = spark.sparkContext
+      val before = sc.getPersistentRDDs.keySet
+      val group = s"jobs-$qName-${lvl.name}"
+      sc.setJobGroup(group, group)
+      try GStoreD.evaluate(dg, q, lvl)
+      finally sc.clearJobGroup()
+      assert(sc.statusTracker.getJobIdsForGroup(group).length == jobs)
+      assert(sc.getPersistentRDDs.keySet == before)
+    }
+  }
+
   test("a blown maxPMs budget leaves no cached Dataset behind") {
     val dg = dgs("LUBM")
     dg.fragTriples.count()

@@ -113,22 +113,34 @@ class LocalMatcherSpec extends AnyFunSuite {
   }
 
   // ---- brute-force equivalence over randomized graphs ----------------------
+  private def bruteForceCase(seed: Int): Option[(QueryGraph, EncodedQuery, Map[Int, Seq[FragTriple]])] = {
+    val rng = new Random(seed)
+    val g = TestGraphs.randomGraph(rng, 9, 16, 3)
+    val k = 1 + rng.nextInt(3)
+    val owners = TestGraphs.randomOwners(rng, g, k)
+    val qg = TestGraphs.randomQuery(rng, g, 3)
+    // None: a constant vanished from the random graph
+    qg.encode(g.dict).map(q => (qg, q, TestGraphs.fragmentsOf(g, owners)))
+  }
+
   for (seed <- 0 until 30) {
     test(s"matches brute-force Def. 5 enumeration (seed $seed)") {
-      val rng = new Random(seed)
-      val g = TestGraphs.randomGraph(rng, 9, 16, 3)
-      val k = 1 + rng.nextInt(3)
-      val owners = TestGraphs.randomOwners(rng, g, k)
-      val qg = TestGraphs.randomQuery(rng, g, 3)
-      qg.encode(g.dict) match {
-        case None => succeed // constant vanished from the random graph
-        case Some(q) =>
-          val frags = TestGraphs.fragmentsOf(g, owners)
-          frags.foreach { case (f, ts) =>
-            val got = lpmSet(LocalMatcher.run(f, ts.iterator, q))
-            val want = BruteForce.def5LPMs(f, ts, q)
-            assert(got == want, s"fragment $f differs for query ${qg.patterns}")
-          }
+      bruteForceCase(seed).foreach { case (qg, q, frags) =>
+        frags.foreach { case (f, ts) =>
+          val got = lpmSet(LocalMatcher.run(f, ts.iterator, q))
+          val want = BruteForce.def5LPMs(f, ts, q)
+          assert(got == want, s"fragment $f differs for query ${qg.patterns}")
+        }
+      }
+    }
+  }
+
+  test("need keeps exactly the rows whose sign holds it (brute-force seeds, every mask)") {
+    for (seed <- 0 until 30; (qg, q, frags) <- bruteForceCase(seed); need <- 0L until (1L << q.n)) {
+      frags.foreach { case (f, ts) =>
+        val got = LocalMatcher.run(f, ts.iterator, q, need = need)
+        val want = LocalMatcher.run(f, ts.iterator, q).filter(pm => (pm.sign & need) == need)
+        assert(got == want, s"seed $seed, fragment $f, need $need, query ${qg.patterns}")
       }
     }
   }

@@ -3,7 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.baselines.S2Rdf
 import repro.part.DistributedGraph
-import scala.util.Random
+import scala.util.{Random, Using}
 
 /** Property test: on random graphs, random partitionings and random query
   * shapes, the distributed engine agrees with a centralized brute-force
@@ -31,8 +31,8 @@ class RandomEndToEndSpec extends SparkSpec {
           dg.fragTriples.unpersist()
           assert(got == want, s"engine vs brute force, query=${qg.patterns}")
 
-          val s2 = new S2Rdf(spark, g).evaluate(qg)
-            .collect().map(r => r.toSeq.map(_.asInstanceOf[Long]).toVector).toSet
+          val s2 = Using.resource(new S2Rdf(spark, g))(_.evaluate(qg)
+            .collect().map(r => r.toSeq.map(_.asInstanceOf[Long]).toVector).toSet)
           assert(s2 == want, s"s2rdf vs brute force, query=${qg.patterns}")
       }
     }
