@@ -78,7 +78,7 @@ object Assembly {
   ): (Vector[Vector[Long]], Stats) = {
     val stats = LecPruning.Stats()
     val matches = Vector.newBuilder[Vector[Long]]
-    val done = LecPruning.join(q, pms, budget, stats)((_, bind) => matches += bind.toVector)
+    val done = LecPruning.join(q, pms, budget, stats, bySign = false)((_, bind) => matches += bind.toVector)
     val ms = matches.result()
     (ms, Stats(stats.joinTests, 0, ms.size, dnf = !done))
   }

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import repro.part.DistributedGraph
+import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 /** Optimization levels matching the §VIII-C ablation:
@@ -175,7 +176,8 @@ object GStoreD {
     val full = q.fullMask
     // LO/Full sites ship their complete local matches, LPM count and
     // deduplicated LEC features, and later only the LPMs that survive
-    // pruning. Basic and LA collect every LPM as part of assembly; LA
+    // pruning, which the coordinator marks by each site's feature
+    // ordinals. Basic and LA collect every LPM as part of assembly; LA
     // derives its features from them at the coordinator, with no extra
     // communication.
     val pruned = opt == OptLevel.LO || opt == OptLevel.Full
@@ -190,10 +192,10 @@ object GStoreD {
             (complete, lpms.length, lpms.map(LecFeature.of).distinct)
           }.collect()
           (perSite.flatMap(_._1).toIndexedSeq, perSite.map(_._2.toLong).sum,
-            IndexedSeq.empty[PMRow], perSite.flatMap(_._3).toIndexedSeq)
+            IndexedSeq.empty[PMRow], perSite.map(_._3))
         } else {
           val (complete, lpms) = sites.collect().iterator.flatten.toIndexedSeq.partition(_.isCompleteLocal(full))
-          (complete, lpms.size.toLong, lpms, IndexedSeq.empty[LecFeature])
+          (complete, lpms.size.toLong, lpms, Array.empty[Array[LecFeature]])
         }
       val lpmTimeMs = (System.nanoTime() - t1) / 1000000
 
@@ -205,18 +207,26 @@ object GStoreD {
           val features = lpms.map(LecFeature.of).distinct
           (features, Some(LecPruning.combos(q, features)), lpms)
         case OptLevel.LO | OptLevel.Full =>
-          val combos = LecPruning.combos(q, siteFeatures)
+          val features = siteFeatures.flatten.toIndexedSeq
+          val combos = LecPruning.combos(q, features)
           // no surviving feature: no site has an LPM to ship
           val kept =
             if (combos.surviving.isEmpty) IndexedSeq.empty[PMRow]
             else {
-              val survB = dg.spark.sparkContext.broadcast(combos.surviving.map(siteFeatures))
-              try sites.flatMap(_.iterator.filter(pm =>
-                  !pm.isCompleteLocal(full) && survB.value.contains(LecFeature.of(pm))))
-                .collect().toIndexedSeq
-              finally survB.destroy()
+              // site f's surviving features, by their ordinal in what it shipped
+              val offsets = siteFeatures.scanLeft(0)(_ + _.length)
+              val masks = siteFeatures.indices.map(f =>
+                Array.tabulate(siteFeatures(f).length)(o => combos.surviving(offsets(f) + o))).toArray
+              // the cached block is the array the features came from, so
+              // first occurrences number its features in the same order
+              sites.mapPartitionsWithIndex { (f, it) =>
+                val mask = masks(f)
+                val ordinal = mutable.HashMap.empty[LecFeature, Int]
+                it.map(_.filter(pm =>
+                  !pm.isCompleteLocal(full) && mask(ordinal.getOrElseUpdate(LecFeature.of(pm), ordinal.size))))
+              }.collect().iterator.flatten.toIndexedSeq
             }
-          (siteFeatures, Some(combos), kept)
+          (features, Some(combos), kept)
       }
       val lecTimeMs = if (pruned) (System.nanoTime() - t2) / 1000000 else 0L
       val lecShipment = if (pruned) features.map(_.byteSize(q.n)).sum else 0L

@@ -21,7 +21,10 @@ final case class LecFeature(frag: Int, g: Seq[Cross], sign: Long) {
     */
   def row(q: EncodedQuery): PMRow = {
     val bind = Array.fill(q.n)(PMRow.NULL)
-    crossBindings(q).foreach { case (v, d) => bind(v) = d }
+    g.foreach { c =>
+      val e = q.edges(c.edge)
+      bind(e.src) = c.su; bind(e.dst) = c.ou
+    }
     PMRow(frag, bind.toSeq, sign, g)
   }
 

@@ -14,6 +14,9 @@ import repro.part.FragTriple
   *
   * [[centralMatches]] enumerates full homomorphic matches (Def. 3) over an
   * undistributed triple set.
+  *
+  * [[completeFeatureSets]] enumerates the complete combinations of Alg. 2
+  * straight from Def. 9 and Thm. 4.
   */
 object BruteForce {
 
@@ -127,6 +130,39 @@ object BruteForce {
       }
 
     rec(0)
+    out.result()
+  }
+
+  /** Every set of at most `q.n` features whose LECSigns are pairwise
+    * disjoint and OR to all-ones, that map no query edge to two crossing
+    * edges and no query vertex to two data vertices, and that are connected
+    * by shared crossing edges.
+    */
+  def completeFeatureSets(q: EncodedQuery, fs: IndexedSeq[LecFeature]): Set[Set[Int]] = {
+    require(fs.forall(_.sign != 0), "a feature maps some query vertex to an internal vertex")
+    def consistent(s: Seq[Int]): Boolean = {
+      val edges = s.flatMap(fs(_).g).groupBy(_.edge).values
+      val binds = s.flatMap(fs(_).crossBindings(q)).groupBy(_._1).values
+      edges.forall(_.distinct.size == 1) && binds.forall(_.map(_._2).distinct.size == 1)
+    }
+    def connected(s: Seq[Int]): Boolean = {
+      def shares(i: Int, j: Int) = fs(i).g.exists(fs(j).g.contains)
+      var reached = Set(s.head)
+      var grew = true
+      while (grew) {
+        val next = reached ++ s.filter(i => reached.exists(shares(i, _)))
+        grew = next.size > reached.size
+        reached = next
+      }
+      reached.size == s.size
+    }
+    val out = Set.newBuilder[Set[Int]]
+    // a set with two overlapping signs has no valid superset
+    def rec(from: Int, chosen: List[Int], sign: Long): Unit =
+      if (sign == q.fullMask) { if (consistent(chosen) && connected(chosen)) out += chosen.toSet }
+      else if (chosen.size < q.n)
+        for (i <- from until fs.size if (fs(i).sign & sign) == 0) rec(i + 1, i :: chosen, sign | fs(i).sign)
+    rec(0, Nil, 0L)
     out.result()
   }
 }

@@ -1,11 +1,12 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
+import repro.bench.Workloads
 import repro.rdf.RdfGraph
 import scala.util.Random
 
 /** LEC features (Def. 8 / Alg. 1), Def.-9 joinability and Alg.-2 pruning. */
-class LecSpec extends AnyFunSuite {
+class LecSpec extends SparkSpec {
 
   // the worked path example: a --p--> b --p--> c, a,c in F0, b in F1
   private val g = RdfGraph.fromStrings(Seq(("a", "p", "b"), ("b", "p", "c")))
@@ -101,6 +102,44 @@ class LecSpec extends AnyFunSuite {
     assert(combos.surviving == Set(0, 1, 3))
     assert(combos.stats.statesExplored == 7)
     assert(combos.stats.completeCombos == 1)
+  }
+
+  test("Alg. 2 finds exactly the brute-force complete feature sets") {
+    def check(what: String, q: EncodedQuery, pms: Seq[PMRow]): Int = {
+      val features = pms.filterNot(_.isCompleteLocal(q.fullMask)).map(LecFeature.of).distinct.toIndexedSeq
+      val complete = LecPruning.combos(q, features).complete.map(_.toSet)
+      assert(complete.size == complete.toSet.size, s"$what: a set found twice")
+      assert(complete.toSet == BruteForce.completeFeatureSets(q, features), what)
+      complete.size
+    }
+    assert(check("path", q, pms0 ++ pms1) == 1)
+    // hub h in F1 with 12 crossing spokes s_i from F0 and 12 internal tails
+    val hub = RdfGraph.fromStrings((0 until 12).flatMap(i => Seq((s"s$i", "p", "h"), ("h", "q", s"t$i"))))
+    val hubOwners = hub.vertexIds.map(v => v -> (if (hub.dict.str(v).startsWith("s")) 0 else 1)).toMap
+    val hq = QueryGraph.of("?x p ?y", "?y q ?z").encode(hub.dict).get
+    val hubPms = TestGraphs.fragmentsOf(hub, hubOwners).toVector.flatMap { case (f, ts) => LocalMatcher.run(f, ts.iterator, hq) }
+    assert(check("hub", hq, hubPms) == 12)
+    for (seed <- 0 until 10) {
+      val rng = new Random(seed)
+      val rg = TestGraphs.randomGraph(rng, 9, 16, 3)
+      val ro = TestGraphs.randomOwners(rng, rg, 3)
+      TestGraphs.randomQuery(rng, rg, 3).encode(rg.dict).foreach { rq =>
+        val pms = TestGraphs.fragmentsOf(rg, ro).toVector.flatMap { case (f, ts) => LocalMatcher.run(f, ts.iterator, rq) }
+        check(s"seed $seed", rq, pms)
+      }
+    }
+  }
+
+  test("Alg. 2 join counts on test-tier YQ3 are pinned") {
+    // YAGO test tier, hash, k = 12, folded core, Alg.-4 bits
+    val (yq, features) = WorkloadFeatures(spark, Workloads.yago("test"), Seq("YQ3"))("YQ3")
+    val c = LecPruning.combos(yq, features)
+    assert(features.size == 2385)
+    assert(c.complete.size == 9548 && c.surviving.size == 2385)
+    assert(c.stats.statesExplored == 32662 && c.stats.completeCombos == 9548)
+    // only sign-disjoint groups are probed: 1,276,256 tests when every row
+    // sharing a crossing edge is drawn
+    assert(c.stats.joinTests == 79650)
   }
 
   test("Alg. 2 on an empty feature set") {
