@@ -1,9 +1,10 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baselines.{CliqueSquare, Dream, S2Rdf, S2X}
-import repro.core.{GStoreD, OptLevel}
+import repro.core.{GStoreD, OptLevel, QueryGraph}
 import repro.part.{DistributedGraph, GraphPartitioner, PartitionCost, Partitioners}
+import scala.util.Using
 
 /** Tables I–III: per-stage evaluation of every benchmark query. */
 object StageTable {
@@ -30,10 +31,9 @@ object StageTable {
       k: Int = 12,
       partitioner: GraphPartitioner = Partitioners.Hash,
       opt: OptLevel = OptLevel.Full,
-  ): Vector[Row] = {
-    val dg = DistributedGraph.build(spark, wl.graph, partitioner, k, wl.attrPreds)
+  ): Vector[Row] = Using.resource(DistributedGraph.build(spark, wl.graph, partitioner, k, wl.attrPreds)) { dg =>
     dg.fragTriples.count() // materialize outside the per-query timers
-    val rows = wl.queries.map { case (name, q, sel) =>
+    wl.queries.map { case (name, q, sel) =>
       val r = GStoreD.evaluate(dg, q, opt)
       val s = r.stats
       Row(
@@ -44,8 +44,6 @@ object StageTable {
         s.numLpms, s.numMatches, s.numCrossingMatches,
       )
     }
-    dg.fragTriples.unpersist()
-    rows
   }
 
   def render(title: String, rows: Seq[Row]): String = {
@@ -77,9 +75,7 @@ object PartitionCostTable {
 
   def run(spark: SparkSession, wl: Workloads.Workload, k: Int = 12): Vector[Row] =
     Partitioners.all.map { p =>
-      val dg = DistributedGraph.build(spark, wl.graph, p, k, wl.attrPreds)
-      val b = PartitionCost.breakdown(dg)
-      dg.fragTriples.unpersist()
+      val b = Using.resource(DistributedGraph.build(spark, wl.graph, p, k, wl.attrPreds))(PartitionCost.breakdown)
       Row(wl.name, p.name, b.numCrossing, b.expectation, b.maxFragEdges, b.cost)
     }
 
@@ -99,22 +95,20 @@ object VariantTable {
 
   final case class Row(query: String, level: String, totalMs: Long, lpms: Long, pairTests: Long, matches: Long, dnf: Boolean)
 
-  def run(spark: SparkSession, wl: Workloads.Workload, k: Int = 12): Vector[Row] = {
-    val dg = DistributedGraph.build(spark, wl.graph, Partitioners.Hash, k, wl.attrPreds)
-    dg.fragTriples.count()
-    val rows = for {
-      (name, q, _) <- wl.queries if !q.isStar
-      lvl <- OptLevel.all
-    } yield {
-      // modest basic-assembly budget: blowups report as DNF like the
-      // paper's timed-out baselines instead of stalling the bench
-      val r = GStoreD.evaluate(dg, q, lvl, basicBudget = 2_000_000L)
-      val s = r.stats
-      Row(name, lvl.name, s.totalTimeMs, s.numLpms, s.asmPairTests, s.numMatches, s.asmDnf)
+  def run(spark: SparkSession, wl: Workloads.Workload, k: Int = 12): Vector[Row] =
+    Using.resource(DistributedGraph.build(spark, wl.graph, Partitioners.Hash, k, wl.attrPreds)) { dg =>
+      dg.fragTriples.count()
+      for {
+        (name, q, _) <- wl.queries if !q.isStar
+        lvl <- OptLevel.all
+      } yield {
+        // modest basic-assembly budget: blowups report as DNF like the
+        // paper's timed-out baselines instead of stalling the bench
+        val r = GStoreD.evaluate(dg, q, lvl, basicBudget = 2_000_000L)
+        val s = r.stats
+        Row(name, lvl.name, s.totalTimeMs, s.numLpms, s.asmPairTests, s.numMatches, s.asmDnf)
+      }
     }
-    dg.fragTriples.unpersist()
-    rows
-  }
 
   def render(wlName: String, rows: Seq[Row]): String = {
     val hdr = Seq("Query", "Level", "TotalMs", "LPMs", "PairTests", "Matches", "DNF")
@@ -132,38 +126,31 @@ object ComparisonTable {
 
   final case class Row(query: String, system: String, ms: Long, matches: Long)
 
-  def run(spark: SparkSession, wl: Workloads.Workload, k: Int = 12): Vector[Row] = {
+  /** Every system is timed alike: the wall time of `evaluate(q)` plus
+    * `collect()` of the frame it returns.
+    */
+  def run(spark: SparkSession, wl: Workloads.Workload, k: Int = 12): Vector[Row] = Using.Manager { use =>
     val triples = wl.graph
     val baselines = Seq(
-      "S2RDF" -> new S2Rdf(spark, triples),
-      "CliqueSquare" -> new CliqueSquare(spark, triples),
-      "DREAM" -> new Dream(spark, triples),
-      "S2X" -> new S2X(spark, triples),
+      "S2RDF" -> use(new S2Rdf(spark, triples)),
+      "CliqueSquare" -> use(new CliqueSquare(spark, triples)),
+      "DREAM" -> use(new Dream(spark, triples)),
+      "S2X" -> use(new S2X(spark, triples)),
     )
-    val dg = DistributedGraph.build(spark, wl.graph, Partitioners.Hash, k, wl.attrPreds)
+    val dg = use(DistributedGraph.build(spark, wl.graph, Partitioners.Hash, k, wl.attrPreds))
     dg.fragTriples.count()
+    val systems: Seq[(String, QueryGraph => DataFrame)] =
+      ("gStoreD" -> ((q: QueryGraph) => GStoreD.evaluate(dg, q).matches)) +:
+        baselines.map { case (sys, b) => sys -> (b.evaluate _) }
 
-    def timed(f: => Long): (Long, Long) = {
-      val t0 = System.nanoTime()
-      val n = f
-      ((System.nanoTime() - t0) / 1000000, n)
-    }
-
-    try wl.queries.flatMap { case (name, q, _) =>
-      val g = {
-        val r = GStoreD.evaluate(dg, q)
-        Row(name, "gStoreD", r.stats.totalTimeMs, r.stats.numMatches)
+    wl.queries.flatMap { case (name, q, _) =>
+      systems.map { case (sys, evaluate) =>
+        val t0 = System.nanoTime()
+        val n = evaluate(q).collect().length
+        Row(name, sys, (System.nanoTime() - t0) / 1000000, n)
       }
-      val others = baselines.map { case (sys, b) =>
-        val (ms, n) = timed(b.evaluate(q).count())
-        Row(name, sys, ms, n)
-      }
-      g +: others
-    } finally {
-      dg.fragTriples.unpersist()
-      baselines.foreach(_._2.close())
     }
-  }
+  }.get
 
   def render(wlName: String, rows: Seq[Row]): String = {
     val hdr = Seq("Query", "System", "Ms", "Matches")

@@ -20,7 +20,6 @@ object Assembly {
 
   final case class Stats(
       pairTests: Long,
-      featureJoinTests: Long,
       numMatches: Int,
       dnf: Boolean = false,
   )
@@ -63,7 +62,7 @@ object Assembly {
         items.foreach { m => matches += m.toVector; nMatches += 1 }
       }
     }
-    (matches.result(), Stats(pairTests, combos.stats.joinTests, nMatches))
+    (matches.result(), Stats(pairTests, nMatches))
   }
 
   /** Basic (no-LEC) assembly baseline: [[LecPruning.join]] over the raw
@@ -80,6 +79,6 @@ object Assembly {
     val matches = Vector.newBuilder[Vector[Long]]
     val done = LecPruning.join(q, pms, budget, stats, bySign = false)((_, bind) => matches += bind.toVector)
     val ms = matches.result()
-    (ms, Stats(stats.joinTests, 0, ms.size, dnf = !done))
+    (ms, Stats(stats.joinTests, ms.size, dnf = !done))
   }
 }

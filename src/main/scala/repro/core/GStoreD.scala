@@ -237,13 +237,15 @@ object GStoreD {
         case None    => Assembly.basic(q, kept, basicBudget)
         case Some(c) => Assembly.lec(q, kept, features, c)
       }
-      val localMatches = complete.map(_.bind.toVector)
-      val allMatches = (crossMatches ++ localMatches).map(b => varIdx.map(b)).distinct
-      val crossDistinct = crossMatches.map(b => varIdx.map(b)).distinct
+      // the projected matches, deduplicated once: crossing first, then local
+      val matches = mutable.LinkedHashSet.empty[Seq[Long]]
+      crossMatches.foreach(b => matches += varIdx.map(b))
+      val numCrossingMatches = matches.size
+      complete.foreach(pm => matches += varIdx.map(pm.bind))
       val assemblyTimeMs = (System.nanoTime() - t3) / 1000000
 
       (
-        allMatches.map(m => Row.fromSeq(m)),
+        matches.iterator.map(Row.fromSeq).toVector,
         Stats(
           candTimeMs = cand.timeMs,
           candShipmentBytes = cand.shipmentBytes,
@@ -254,8 +256,8 @@ object GStoreD {
           numLpms = numLpms,
           numLpmsKept = kept.size,
           numFeatures = features.size,
-          numMatches = allMatches.size,
-          numCrossingMatches = crossDistinct.size,
+          numMatches = matches.size,
+          numCrossingMatches = numCrossingMatches,
           asmPairTests = asmStats.pairTests,
           asmDnf = asmStats.dnf,
         ),

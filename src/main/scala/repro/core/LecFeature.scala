@@ -7,15 +7,6 @@ package repro.core
   */
 final case class LecFeature(frag: Int, g: Seq[Cross], sign: Long) {
 
-  /** Query-vertex → data-vertex bindings implied by the crossing edges
-    * (used for Def.-9 condition-3 consistency at vertex granularity).
-    */
-  def crossBindings(q: EncodedQuery): Map[Int, Long] =
-    g.iterator.flatMap { c =>
-      val e = q.edges(c.edge)
-      Iterator(e.src -> c.su, e.dst -> c.ou)
-    }.toMap
-
   /** The partial match this feature stands for in the feature join: its
     * crossing-edge endpoint bindings, NULL elsewhere.
     */

@@ -1,8 +1,9 @@
 package repro.part
 
 import org.apache.spark.HashPartitioner
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.rdf.RdfGraph
+import scala.collection.mutable
 
 /** One stored triple of a fragment: `frag` hosts it, `sFrag`/`oFrag` are the
   * owner fragments of its endpoints. A crossing edge (`sFrag != oFrag`)
@@ -16,7 +17,7 @@ final case class FragTriple(frag: Int, s: Long, p: Long, o: Long, sFrag: Int, oF
   * fragment stores with crossing-edge replicas. `fragTriples` is the one
   * resident copy of the sites: partition `i` of its RDD holds exactly
   * fragment `i`, so a `mapPartitionsWithIndex` over `fragTriples.rdd` is one
-  * round of work at every site (§III).
+  * round of work at every site (§III). [[close]] releases it.
   */
 final class DistributedGraph(
     val spark: SparkSession,
@@ -25,19 +26,33 @@ final class DistributedGraph(
     val owners: Map[Long, Int],
     val fragTriples: Dataset[FragTriple],
     val attrPreds: Set[String] = Set.empty,
-) extends Serializable {
+) extends AutoCloseable {
 
-  import spark.implicits._
+  /** Per non-empty site: stored rows `|E_i ∪ E_i^c|`, distinct crossing
+    * edges held `|E_i^c|`, and `Σ |N(v) ∩ E^c|²` over its internal vertices,
+    * in one pass over the sites. A site holds every crossing edge of its
+    * internal vertices (Def. 1), and the internal endpoint of one it holds
+    * is the one it owns.
+    */
+  private[part] lazy val siteStats: Map[Int, SiteStats] =
+    fragTriples.rdd
+      .mapPartitionsWithIndex { (f, it) =>
+        var stored = 0L
+        val crossing = mutable.HashSet.empty[FragTriple]
+        it.foreach { t => stored += 1; if (t.isCrossing) crossing += t }
+        val degrees = crossing.toSeq.groupMapReduce(t => if (t.sFrag == t.frag) t.s else t.o)(_ => 1L)(_ + _)
+        if (stored == 0) Iterator.empty
+        else Iterator.single(f -> SiteStats(stored, crossing.size, degrees.valuesIterator.map(d => d * d).sum))
+      }
+      .collect().toMap
 
-  /** |E_i ∪ E_i^c| per fragment (stored edges, incl. replicas). */
-  lazy val storedEdgesPerFrag: Map[Int, Long] =
-    fragTriples.groupBy($"frag").count().as[(Int, Long)].collect().toMap
+  /** |E_i ∪ E_i^c| per non-empty fragment (stored edges, incl. replicas). */
+  lazy val storedEdgesPerFrag: Map[Int, Long] = siteStats.view.mapValues(_.stored).toMap
 
-  /** Distinct crossing edges of the whole partitioning (E^c, no replicas). */
-  lazy val crossingEdges: DataFrame =
-    fragTriples.filter($"sFrag" =!= $"oFrag").select($"s", $"p", $"o").distinct()
-
-  lazy val numCrossingEdges: Long = crossingEdges.count()
+  /** |E^c|: distinct crossing edges of the whole partitioning. Each is held
+    * by both endpoint owners.
+    */
+  lazy val numCrossingEdges: Long = siteStats.valuesIterator.map(_.crossing).sum / 2
 
   /** Internal subjects carrying every attribute edge `(p, o)` in `cs` (a
     * folded gStore signature filter), in one pass over the sites: all of a
@@ -53,18 +68,10 @@ final class DistributedGraph(
       .collect()
   }
 
-  /** |E_i^c| per fragment (crossing edges incident to the fragment). */
-  lazy val crossingEdgesPerFrag: Map[Int, Long] =
-    fragTriples
-      .filter($"sFrag" =!= $"oFrag")
-      .select($"frag", $"s", $"p", $"o")
-      .distinct()
-      .groupBy($"frag")
-      .count()
-      .as[(Int, Long)]
-      .collect()
-      .toMap
+  def close(): Unit = fragTriples.unpersist()
 }
+
+private[part] final case class SiteStats(stored: Long, crossing: Long, sumSquares: Long)
 
 object DistributedGraph {
 

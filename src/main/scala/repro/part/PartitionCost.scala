@@ -1,14 +1,12 @@
 package repro.part
 
-import org.apache.spark.sql.functions._
-
 /** §VII partitioning cost model.
   *
   * `p_F(v) = |N(v) ∩ E^c| / (2|E^c|)`; `E_F(v) = |N(v) ∩ E^c| * p_F(v)`;
   * `E_F(V) = Σ_v E_F(v)`;
   * `Cost(F) = E_F(V) × max_i |E_i ∪ E_i^c|`.
   *
-  * Computed with DataFrame aggregations over the fragment store.
+  * Read off the store's per-site counts (one pass over the sites).
   */
 object PartitionCost {
 
@@ -21,22 +19,10 @@ object PartitionCost {
   }
 
   def breakdown(dg: DistributedGraph): Breakdown = {
-    import dg.spark.implicits._
     val ec = dg.numCrossingEdges
-    if (ec == 0) return Breakdown(0, 0.0, dg.storedEdgesPerFrag.values.maxOption.getOrElse(0L))
-    // crossing-edge incidences per vertex: each crossing edge counts for
-    // both endpoints (self-loops cannot cross: owner(s)==owner(o)).
-    val incid = dg.crossingEdges
-      .select($"s".as("v"))
-      .unionAll(dg.crossingEdges.select($"o".as("v")))
-      .groupBy($"v")
-      .count()
-    val sumSquares = incid
-      .agg(sum($"count" * $"count"))
-      .as[Long]
-      .head()
-    val expectation = sumSquares.toDouble / (2.0 * ec)
-    Breakdown(ec, expectation, dg.storedEdgesPerFrag.values.max)
+    val sumSquares = dg.siteStats.valuesIterator.map(_.sumSquares).sum
+    val expectation = if (ec == 0) 0.0 else sumSquares.toDouble / (2.0 * ec)
+    Breakdown(ec, expectation, dg.storedEdgesPerFrag.values.maxOption.getOrElse(0L))
   }
 
   def cost(dg: DistributedGraph): Double = breakdown(dg).cost

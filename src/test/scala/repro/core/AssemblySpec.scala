@@ -9,7 +9,8 @@ class AssemblySpec extends AnyFunSuite {
   private def assembleLec(q: EncodedQuery, pms: IndexedSeq[PMRow]) = {
     val features = pms.map(LecFeature.of).distinct.toIndexedSeq
     val combos = LecPruning.combos(q, features)
-    Assembly.lec(q, pms, features, combos)
+    val (matches, stats) = Assembly.lec(q, pms, features, combos)
+    (matches, stats, combos)
   }
 
   private def pmsOf(g: RdfGraph, owners: Map[Long, Int], q: EncodedQuery): IndexedSeq[PMRow] =
@@ -23,7 +24,7 @@ class AssemblySpec extends AnyFunSuite {
     val g = RdfGraph.fromStrings(Seq(("a", "p", "b"), ("b", "p", "c")))
     val owners = Map(g.dict.id("a") -> 0, g.dict.id("b") -> 1, g.dict.id("c") -> 0)
     val q = QueryGraph.of("?x p ?y", "?y p ?z").encode(g.dict).get
-    val (matches, _) = assembleLec(q, pmsOf(g, owners, q))
+    val (matches, _, _) = assembleLec(q, pmsOf(g, owners, q))
     assert(matches.toSet == Set(Vector(g.dict.id("a"), g.dict.id("b"), g.dict.id("c"))))
   }
 
@@ -31,7 +32,7 @@ class AssemblySpec extends AnyFunSuite {
     val g = RdfGraph.fromStrings(Seq(("a", "p", "b"), ("b", "p", "c"), ("c", "p", "d")))
     val owners = Map(g.dict.id("a") -> 0, g.dict.id("b") -> 1, g.dict.id("c") -> 2, g.dict.id("d") -> 0)
     val q = QueryGraph.of("?w p ?x", "?x p ?y", "?y p ?z").encode(g.dict).get
-    val (matches, _) = assembleLec(q, pmsOf(g, owners, q))
+    val (matches, _, _) = assembleLec(q, pmsOf(g, owners, q))
     assert(matches.toSet == Set(Vector("a", "b", "c", "d").map(g.dict.id)))
   }
 
@@ -39,7 +40,7 @@ class AssemblySpec extends AnyFunSuite {
     val g = RdfGraph.fromStrings(Seq(("a", "p", "b"), ("b", "q", "c")))
     val owners = Map(g.dict.id("a") -> 0, g.dict.id("b") -> 1, g.dict.id("c") -> 0)
     val q = QueryGraph.of("?x p ?y", "?y p ?z").encode(g.dict).get
-    val (matches, _) = assembleLec(q, pmsOf(g, owners, q))
+    val (matches, _, _) = assembleLec(q, pmsOf(g, owners, q))
     assert(matches.isEmpty)
   }
 
@@ -54,7 +55,7 @@ class AssemblySpec extends AnyFunSuite {
       g.dict.id("a") -> 0, g.dict.id("b") -> 1, g.dict.id("c") -> 0,
       g.dict.id("c2") -> 1, g.dict.id("a2") -> 1)
     val q = QueryGraph.of("?x p ?y", "?y p ?z", "?z p ?x").encode(g.dict).get
-    val (matches, _) = assembleLec(q, pmsOf(g, owners, q))
+    val (matches, _, _) = assembleLec(q, pmsOf(g, owners, q))
     // only the true triangle survives (in its three rotations); the
     // c2/a2 decoy pieces that agree on the b-crossing edge are rejected
     def rot(s: Seq[String]) = s.map(g.dict.id)
@@ -71,7 +72,7 @@ class AssemblySpec extends AnyFunSuite {
       val owners = TestGraphs.randomOwners(rng, g, 3)
       TestGraphs.randomQuery(rng, g, 3).encode(g.dict).foreach { q =>
         val pms = pmsOf(g, owners, q)
-        val (lecM, _) = assembleLec(q, pms)
+        val (lecM, _, _) = assembleLec(q, pms)
         val (basicM, bs) = Assembly.basic(q, pms)
         assert(!bs.dnf)
         assert(lecM.toSet == basicM.toSet, s"seed $seed")
@@ -92,11 +93,11 @@ class AssemblySpec extends AnyFunSuite {
     val pms = pmsOf(g, owners, q)
     val features = pms.map(LecFeature.of).distinct
     assert(features.size < pms.size / 5) // real equivalence classes exist
-    val (lecM, lecStats) = assembleLec(q, pms)
+    val (lecM, lecStats, combos) = assembleLec(q, pms)
     val (basicM, basicStats) = Assembly.basic(q, pms)
     assert(lecM.toSet == basicM.toSet)
     assert(lecM.size == 144)
-    assert(lecStats.pairTests + lecStats.featureJoinTests < basicStats.pairTests)
+    assert(lecStats.pairTests + combos.stats.joinTests < basicStats.pairTests)
   }
 
   test("basic assembly's join space on the hub example is pinned") {
@@ -125,7 +126,7 @@ class AssemblySpec extends AnyFunSuite {
       val g = TestGraphs.randomGraph(rng, 8, 14, 2)
       val owners = TestGraphs.randomOwners(rng, g, 2)
       TestGraphs.randomQuery(rng, g, 2).encode(g.dict).foreach { q =>
-        val (matches, _) = assembleLec(q, pmsOf(g, owners, q))
+        val (matches, _, _) = assembleLec(q, pmsOf(g, owners, q))
         matches.foreach(m => assert(m.forall(_ >= 0)))
       }
     }

@@ -133,6 +133,15 @@ object BruteForce {
     out.result()
   }
 
+  /** Query-vertex → data-vertex bindings implied by a feature's crossing
+    * edges (Def.-9 condition-3 consistency at vertex granularity).
+    */
+  def crossBindings(q: EncodedQuery, f: LecFeature): Map[Int, Long] =
+    f.g.iterator.flatMap { c =>
+      val e = q.edges(c.edge)
+      Iterator(e.src -> c.su, e.dst -> c.ou)
+    }.toMap
+
   /** Every set of at most `q.n` features whose LECSigns are pairwise
     * disjoint and OR to all-ones, that map no query edge to two crossing
     * edges and no query vertex to two data vertices, and that are connected
@@ -142,7 +151,7 @@ object BruteForce {
     require(fs.forall(_.sign != 0), "a feature maps some query vertex to an internal vertex")
     def consistent(s: Seq[Int]): Boolean = {
       val edges = s.flatMap(fs(_).g).groupBy(_.edge).values
-      val binds = s.flatMap(fs(_).crossBindings(q)).groupBy(_._1).values
+      val binds = s.flatMap(i => crossBindings(q, fs(i))).groupBy(_._1).values
       edges.forall(_.distinct.size == 1) && binds.forall(_.map(_._2).distinct.size == 1)
     }
     def connected(s: Seq[Int]): Boolean = {

@@ -62,7 +62,7 @@ class CandidateExchangeSpec extends SparkSpec {
     val (_, lq6, _) = wl.queries.find(_._1 == "LQ6").get
     val a = GStoreD.evaluate(dgl, lq6, OptLevel.LO).matches.collect().map(_.toSeq).toSet
     val b = GStoreD.evaluate(dgl, lq6, OptLevel.Full).matches.collect().map(_.toSeq).toSet
-    dgl.fragTriples.unpersist()
+    dgl.close()
     assert(a == b)
   }
 
@@ -72,7 +72,7 @@ class CandidateExchangeSpec extends SparkSpec {
     val (_, lq3, _) = wl.queries.find(_._1 == "LQ3").get
     val lo = GStoreD.evaluate(dgl, lq3, OptLevel.LO).stats
     val full = GStoreD.evaluate(dgl, lq3, OptLevel.Full).stats
-    dgl.fragTriples.unpersist()
+    dgl.close()
     assert(full.numLpms <= lo.numLpms)
   }
 

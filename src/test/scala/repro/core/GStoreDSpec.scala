@@ -163,7 +163,7 @@ class GStoreDSpec extends SparkSpec {
       val (_, q, _) = w.queries.find(_._1 == "LQ1").get
       val got = GStoreD.evaluate(dg, q).matches.collect().map(_.toSeq).toSet
       val want = GStoreD.evaluate(dgs("LUBM"), q).matches.collect().map(_.toSeq).toSet
-      dg.fragTriples.unpersist()
+      dg.close()
       assert(got == want)
     }
   }
@@ -176,7 +176,7 @@ class GStoreDSpec extends SparkSpec {
     assert(res.stats.numCrossingMatches == 0)
     val want = GStoreD.evaluate(dgs("LUBM"), q).matches.collect().map(_.toSeq).toSet
     assert(res.matches.collect().map(_.toSeq).toSet == want)
-    dg.fragTriples.unpersist()
+    dg.close()
   }
 
   test("a query with an unknown constant returns an empty, well-typed frame") {

@@ -31,7 +31,7 @@ class LecSpec extends SparkSpec {
 
   test("crossBindings extracts crossing endpoints per query vertex") {
     val f = LecFeature(0, Seq(Cross(0, a, p, b)), 1L)
-    assert(f.crossBindings(q) == Map(0 -> a, 1 -> b))
+    assert(BruteForce.crossBindings(q, f) == Map(0 -> a, 1 -> b))
   }
 
   test("byteSize is O(|E^Q| + |V^Q|)") {

@@ -28,7 +28,7 @@ class RandomEndToEndSpec extends SparkSpec {
           val dg = DistributedGraph.fromOwners(spark, g, owners, k)
           val got = GStoreD.evaluate(dg, qg).matches
             .collect().map(r => r.toSeq.map(_.asInstanceOf[Long]).toVector).toSet
-          dg.fragTriples.unpersist()
+          dg.close()
           assert(got == want, s"engine vs brute force, query=${qg.patterns}")
 
           val s2 = Using.resource(new S2Rdf(spark, g))(_.evaluate(qg)
@@ -50,7 +50,7 @@ class RandomEndToEndSpec extends SparkSpec {
           val dg = DistributedGraph.fromOwners(spark, g, owners, 3)
           val results = OptLevel.all.map(lvl =>
             GStoreD.evaluate(dg, qg, lvl).matches.collect().map(_.toSeq).toSet)
-          dg.fragTriples.unpersist()
+          dg.close()
           assert(results.distinct.size == 1)
       }
     }

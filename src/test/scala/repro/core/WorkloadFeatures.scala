@@ -24,7 +24,7 @@ object WorkloadFeatures {
           .filterNot(_.isCompleteLocal(q.fullMask))
         name -> (q, lpms.map(LecFeature.of).distinct)
       }.toMap
-    } finally dg.fragTriples.unpersist()
+    } finally dg.close()
   }
 
   /** The folded core with its on-core constraints; every constant must be

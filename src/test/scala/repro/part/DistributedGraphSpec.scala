@@ -1,7 +1,9 @@
 package repro.part
 
 import repro.SparkSpec
+import repro.bench.Workloads
 import repro.rdf.{LubmData, RdfGraph}
+import scala.util.Using
 
 class DistributedGraphSpec extends SparkSpec {
 
@@ -69,9 +71,34 @@ class DistributedGraphSpec extends SparkSpec {
   test("crossing edge counts are consistent") {
     val manual = rows.filter(_.isCrossing).map(r => (r.s, r.p, r.o)).distinct.size
     assert(dg.numCrossingEdges == manual)
-    val perFrag = dg.crossingEdgesPerFrag
+    val perFrag = dg.siteStats.view.mapValues(_.crossing)
     // each distinct crossing edge is counted in exactly two fragments
     assert(perFrag.values.sum == 2L * manual)
+  }
+
+  private lazy val lubm = Workloads.lubm("test")
+  for (p <- Partitioners.all) {
+    test(s"site statistics match counts over the collected store (${p.name}, attribute predicates)") {
+      Using.resource(DistributedGraph.build(spark, lubm.graph, p, k, lubm.attrPreds)) { d =>
+        val rows = d.fragTriples.collect().toVector
+        val crossing = rows.filter(_.isCrossing).map(r => (r.s, r.p, r.o)).distinct
+        val degrees = crossing.flatMap(e => Seq(e._1, e._3)).groupMapReduce(identity)(_ => 1L)(_ + _)
+        assert(d.storedEdgesPerFrag == rows.groupBy(_.frag).view.mapValues(_.size.toLong).toMap)
+        assert(d.numCrossingEdges == crossing.size)
+        assert(d.siteStats.values.map(_.sumSquares).sum == degrees.values.map(n => n * n).sum)
+      }
+    }
+  }
+
+  test("close releases the store's cached blocks") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val d = DistributedGraph.build(spark, g, Partitioners.Hash, k)
+    d.fragTriples.count()
+    val cached = sc.getPersistentRDDs.keySet -- before
+    assert(cached.nonEmpty)
+    d.close()
+    assert(sc.getPersistentRDDs.keySet.intersect(cached).isEmpty)
   }
 
   test("partition i of the store holds exactly fragment i") {
@@ -87,7 +114,7 @@ class DistributedGraphSpec extends SparkSpec {
       (0 until d.k).foreach(i => assert(frags(i).subsetOf(Set(i)), s"partition $i of k=${d.k}"))
     }
     assert(stores(1).storedEdgesPerFrag.keySet == Set(0, 2))
-    stores.drop(1).foreach(_.fragTriples.unpersist())
+    stores.drop(1).foreach(_.close())
   }
 
   test("build rejects partial owner maps") {

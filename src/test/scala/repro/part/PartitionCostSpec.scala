@@ -2,6 +2,7 @@ package repro.part
 
 import repro.SparkSpec
 import repro.rdf.LubmData
+import scala.util.Using
 
 /** §VII cost model, including Fig.-8-style worked examples that hit the
   * paper's exact 27.5 / 23.4 costs.
@@ -61,6 +62,18 @@ class PartitionCostSpec extends SparkSpec {
     assert(math.abs(b.expectation - 1.5) < 1e-9)
   }
 
+  test("breakdown on a fresh store is one Spark job") {
+    val g = LubmData.graph(LubmData.Spec(nUniv = 4))
+    Using.resource(DistributedGraph.build(spark, g, Partitioners.Hash, 4, LubmData.attributePredicates)) { dg =>
+      val sc = spark.sparkContext
+      val group = "partition-cost-breakdown"
+      sc.setJobGroup(group, group)
+      try PartitionCost.breakdown(dg)
+      finally sc.clearJobGroup()
+      assert(sc.statusTracker.getJobIdsForGroup(group).length == 1)
+    }
+  }
+
   test("cost model ranks real partitionings on LUBM") {
     // gStore configuration: attribute edges (types, literals) are vertex
     // signatures and do not cross fragments
@@ -68,7 +81,7 @@ class PartitionCostSpec extends SparkSpec {
     val costs = Partitioners.all.map { p =>
       val dg = DistributedGraph.build(spark, g, p, 4, LubmData.attributePredicates)
       val c = PartitionCost.cost(dg)
-      dg.fragTriples.unpersist()
+      dg.close()
       p.name -> c
     }.toMap
     // semantic hash exploits LUBM's per-university domains
