@@ -86,22 +86,25 @@ object Plans {
   }
 }
 
-/** A comparison system over cached DataFrames: the triples, plus what its
-  * plans register with `cache` (per-predicate and per-query tables).
-  * `close()` releases them all, dependents before the tables they are built
-  * on.
+/** A comparison system over cached DataFrames: the triples and its
+  * `table`s (per-predicate tables), plus the per-query intermediates its
+  * plans register with `cache`. `release()` drops the intermediates and
+  * `close()` releases everything, dependents before the tables they are
+  * built on.
   */
 abstract class Baseline(spark: SparkSession, g: RdfGraph) extends AutoCloseable {
   def evaluate(q: QueryGraph): DataFrame
 
-  private val cached = mutable.ArrayBuffer.empty[DataFrame]
-  protected def cache(df: DataFrame): DataFrame = { cached += df.cache(); df }
-  protected val triples: DataFrame = cache(g.df(spark))
+  private val tables, intermediates = mutable.ArrayBuffer.empty[DataFrame]
+  protected def table(df: DataFrame): DataFrame = { tables += df.cache(); df }
+  protected def cache(df: DataFrame): DataFrame = { intermediates += df.cache(); df }
+  protected val triples: DataFrame = table(g.df(spark))
 
-  def close(): Unit = {
-    cached.reverseIterator.foreach(_.unpersist())
-    cached.clear()
+  private def drop(dfs: mutable.ArrayBuffer[DataFrame]): Unit = {
+    dfs.reverseIterator.foreach(_.unpersist()); dfs.clear()
   }
+  def release(): Unit = drop(intermediates)
+  def close(): Unit = { release(); drop(tables) }
 }
 
 /** S2RDF [Schätzle et al., PVLDB'16]-lite: vertical partitioning — one
@@ -110,7 +113,7 @@ abstract class Baseline(spark: SparkSession, g: RdfGraph) extends AutoCloseable 
   */
 final class S2Rdf(spark: SparkSession, g: RdfGraph) extends Baseline(spark, g) {
   private val vp: Map[Long, DataFrame] =
-    g.predicateIds.map(p => p -> cache(triples.filter(col("p") === p).select("s", "o"))).toMap
+    g.predicateIds.map(p => p -> table(triples.filter(col("p") === p).select("s", "o"))).toMap
 
   def evaluate(q: QueryGraph): DataFrame = {
     val parts = q.patterns.map { tp =>

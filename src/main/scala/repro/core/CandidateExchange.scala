@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.part.DistributedGraph
+import repro.part.{DistributedGraph, Site}
 
 /** §VI / Alg. 4 — assembling variables' internal candidates.
   *
@@ -11,8 +11,9 @@ import repro.part.DistributedGraph
   * hashed into fixed-length bit vectors, OR-ed at the coordinator and
   * broadcast back; `LocalMatcher` then drops bindings whose bit is unset.
   *
-  * All variables are computed in one Spark job: one task per site over its
-  * resident fragment returns each variable's candidate count and vector.
+  * All variables are computed in one Spark job: one task per site reads its
+  * resident fragment into a [[Site]] and returns each variable's vector and
+  * upload size.
   * Shipment is metered as the smaller of the dense vector and the sparse id
   * list per (site, variable) — plus the fixed-length broadcast back — which
   * is why selective queries ship far less (as in Table I).
@@ -21,55 +22,43 @@ object CandidateExchange {
 
   final case class Result(bits: CandidateBits, shipmentBytes: Long, timeMs: Long)
 
-  /** One way for a binding `c` of a variable to be supported at its site:
-    * an edge labelled `pred` (any label when negative) with `c` at the
-    * subject (`cIsSubject`) or object end, and `other` at the far end when
-    * it is a constant (negative: any vertex).
+  /** Internal candidates of variable `v` at `site`: its internal vertices
+    * with a matching edge for every (incident edge, side at which `v`
+    * occurs), with the far end fixed when it is a constant, and every folded
+    * attribute constraint (the gStore signature filter). The matcher seeds
+    * an internal core from the same set.
     */
-  private final case class Req(pred: Long, cIsSubject: Boolean, other: Long)
+  private[core] def internal(site: Site, q: EncodedQuery, v: Int): Array[Long] = {
+    def constAt(w: Int) = if (w != v && !q.vertices(w).isVar) q.vertices(w).constId else -1L
+    // (label or -1, v is the subject, far end or -1)
+    val reqs = q.incident(v).flatMap { e =>
+      (if (e.src == v) Seq((e.predId, true, constAt(e.dst))) else Nil) ++
+        (if (e.dst == v) Seq((e.predId, false, constAt(e.src))) else Nil)
+    } ++ q.constraints.getOrElse(v, Nil).map { case (p, o) => (p, true, o) }
+    site.internal.filter(c => reqs.forall { case (p, out, far) => site.has(c, out, p, far) })
+  }
 
   def run(dg: DistributedGraph, q: EncodedQuery, len: Int = 1 << 14): Result = {
     val t0 = System.nanoTime()
     val varVertices = (0 until q.n).filter(q.vertices(_).isVar)
-    val reqs: IndexedSeq[Seq[Req]] = varVertices.map { v =>
-      def constAt(w: Int) = if (w != v && !q.vertices(w).isVar) q.vertices(w).constId else -1L
-      // one requirement per (incident edge, side at which v occurs) ...
-      q.incident(v).flatMap { e =>
-        (if (e.src == v) Seq(Req(e.predId, cIsSubject = true, constAt(e.dst))) else Nil) ++
-          (if (e.dst == v) Seq(Req(e.predId, cIsSubject = false, constAt(e.src))) else Nil)
-      } ++ // ... plus one per folded attribute constraint (gStore signature filter)
-        q.constraints.getOrElse(v, Nil).map { case (p, o) => Req(p, cIsSubject = true, o) }
-    }
 
-    // per site and variable: (candidate count, hashed candidate vector)
+    // per site and variable: the hashed candidate vector, and its upload:
+    // the smaller of the dense vector and the id list
     val perSite = dg.fragTriples.rdd
-      .mapPartitions { it =>
-        val trips = it.toArray
-        Iterator(reqs.map { rs =>
-          val cands = rs.map { r =>
-            trips.iterator.flatMap { t =>
-              val (c, cFrag, far) = if (r.cIsSubject) (t.s, t.sFrag, t.o) else (t.o, t.oFrag, t.s)
-              val ok = (r.pred < 0 || t.p == r.pred) && cFrag == t.frag && (r.other < 0 || far == r.other)
-              if (ok) Some(c) else None
-            }.toSet
-          }.reduce(_ intersect _)
-          (cands.size, CandidateBits.fromBits(len, cands.map(CandidateBits.bitOf(_, len))))
+      .mapPartitionsWithIndex { (f, it) =>
+        val site = Site(f, it)
+        Iterator(varVertices.map { v =>
+          val cands = internal(site, q, v)
+          val upload = if (cands.isEmpty) 0L else math.min(len / 8L, 8L * cands.length)
+          (CandidateBits.fromBits(len, cands.map(CandidateBits.bitOf(_, len))), upload)
         })
       }
       .collect()
 
-    var shipment = 0L
+    // download: the OR-ed fixed-length vector of every variable to every site
+    val shipment = perSite.iterator.flatten.map(_._2).sum + varVertices.size * dg.k.toLong * (len / 8L)
     val bits = varVertices.indices.map { i =>
-      val words = new Array[Long](CandidateBits.wordsFor(len))
-      perSite.foreach { site =>
-        val (n, ws) = site(i)
-        // upload: per site, the smaller of the dense vector and the id list
-        if (n > 0) shipment += math.min(len / 8L, 8L * n)
-        ws.indices.foreach(w => words(w) |= ws(w))
-      }
-      // download: the OR-ed fixed-length vector to every site
-      shipment += dg.k.toLong * (len / 8L)
-      varVertices(i) -> words
+      varVertices(i) -> perSite.map(_(i)._1).reduce((a, b) => Array.tabulate(a.length)(w => a(w) | b(w)))
     }.toMap
     Result(CandidateBits(len, bits), shipment, (System.nanoTime() - t0) / 1000000)
   }

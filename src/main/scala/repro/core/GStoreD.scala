@@ -101,9 +101,7 @@ object GStoreD {
         // supported (a pure existence pre-check)
         val (onCore, offCore) = cons.partition { case (t, _) => core.vertexTerms.contains(t) }
         offCore.foreach {
-          case (Term.Const(u), cs) =>
-            val sid = dict.idOpt(u).getOrElse(return empty)
-            if (!dg.attrSubjects(cs).contains(sid)) return empty
+          case (Term.Const(u), cs) => if (!dict.idOpt(u).exists(dg.attrSubjects(cs).contains)) return empty
           case (Term.Var(n), _) =>
             throw new UnsupportedOperationException(
               s"constraint on variable ?$n disconnected from the entity core")

@@ -58,15 +58,13 @@ final class DistributedGraph(
     * folded gStore signature filter), in one pass over the sites: all of a
     * subject's edges are stored at its owner, where it is internal.
     */
-  def attrSubjects(cs: Seq[(Long, Long)]): Array[Long] = {
-    val want = cs.toSet
+  def attrSubjects(cs: Seq[(Long, Long)]): Array[Long] =
     fragTriples.rdd
-      .mapPartitions { it =>
-        val carried = it.filter(t => t.sFrag == t.frag && want((t.p, t.o))).map(t => (t.s, t.p, t.o)).toSet
-        carried.groupBy(_._1).collect { case (s, es) if es.size == want.size => s }.iterator
+      .mapPartitionsWithIndex { (f, it) =>
+        val site = Site(f, it)
+        site.internal.iterator.filter(s => cs.forall { case (p, o) => site.has(s, outgoing = true, p, o) })
       }
       .collect()
-  }
 
   def close(): Unit = fragTriples.unpersist()
 }

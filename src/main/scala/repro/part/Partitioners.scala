@@ -85,18 +85,8 @@ object Partitioners {
       var current = 0
       var filled = 0
       val queue = mutable.ArrayDeque.empty[Long]
-      val it = verts.iterator
-      var seedCursor: Iterator[Long] = it
-
-      def nextSeed(): Option[Long] = {
-        while (seedCursor.hasNext) {
-          val v = seedCursor.next()
-          if (!frag.contains(v)) return Some(v)
-        }
-        None
-      }
-
-      var seed = nextSeed()
+      val seeds = verts.iterator
+      var seed = seeds.find(!frag.contains(_))
       while (seed.isDefined) {
         queue.clear()
         queue.append(seed.get)
@@ -115,7 +105,7 @@ object Partitioners {
             }
           }
         }
-        seed = nextSeed()
+        seed = seeds.find(!frag.contains(_))
       }
       frag.toMap
     }

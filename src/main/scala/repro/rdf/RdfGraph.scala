@@ -26,17 +26,12 @@ final class RdfGraph(val dict: Dictionary, val triples: Vector[(Long, Long, Long
     spark.createDataset(triples).toDF("s", "p", "o")
   }
 
-  /** Undirected adjacency over vertices (used by the METIS-like partitioner). */
-  lazy val undirectedAdj: Map[Long, Vector[Long]] = {
-    val m = scala.collection.mutable.HashMap.empty[Long, scala.collection.mutable.ArrayBuffer[Long]]
-    triples.foreach { case (s, _, o) =>
-      if (s != o) {
-        m.getOrElseUpdate(s, scala.collection.mutable.ArrayBuffer.empty) += o
-        m.getOrElseUpdate(o, scala.collection.mutable.ArrayBuffer.empty) += s
-      } else m.getOrElseUpdate(s, scala.collection.mutable.ArrayBuffer.empty)
-    }
-    m.iterator.map { case (v, buf) => v -> buf.distinct.toVector }.toMap
-  }
+  /** Undirected adjacency over vertices, neighbours in triple order (used by
+    * the METIS-like partitioner). A vertex with only self-loops has no entry.
+    */
+  lazy val undirectedAdj: Map[Long, Vector[Long]] =
+    triples.flatMap { case (s, _, o) => if (s == o) Nil else Seq(s -> o, o -> s) }
+      .groupMap(_._1)(_._2).view.mapValues(_.distinct).toMap
 }
 
 object RdfGraph {

@@ -89,6 +89,28 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
+  // DREAM and S2X cache per-query intermediates; the other two cache only tables
+  for ((sys, make, intermediates) <- Seq[(String, RdfGraph => Baseline, Boolean)](
+      ("S2RDF", new S2Rdf(spark, _), false), ("CliqueSquare", new CliqueSquare(spark, _), false),
+      ("DREAM", new Dream(spark, _), true), ("S2X", new S2X(spark, _), true))) {
+    test(s"$sys release() drops its per-query caches and keeps its tables") {
+      val g = RdfGraph.fromStrings(Seq(("a", "p", "b"), ("b", "q", "c"), ("c", "q", "a"), ("b", "p", "c")))
+      val q = QueryGraph.of("?x p ?y", "?y q ?z")
+      val sc = spark.sparkContext
+      val before = sc.getPersistentRDDs.size
+      val b = make(g)
+      assert(b.evaluate(q).count() == 2)
+      b.release()
+      val tables = sc.getPersistentRDDs.size
+      assert(b.evaluate(q).count() == 2)
+      assert(sc.getPersistentRDDs.size > tables == intermediates)
+      b.release()
+      assert(sc.getPersistentRDDs.size == tables)
+      b.close()
+      assert(sc.getPersistentRDDs.size == before)
+    }
+  }
+
   test("patternDf handles a repeated variable in one pattern") {
     val g = repro.rdf.RdfGraph.fromStrings(Seq(("a", "p", "a"), ("a", "p", "b")))
     val df = Plans.patternDf(g.df(spark), repro.core.TriplePattern(

@@ -144,4 +144,19 @@ class LocalMatcherSpec extends AnyFunSuite {
       }
     }
   }
+
+  for (seed <- 0 until 40) {
+    test(s"variable predicates and self-loops match brute-force Def. 5 (seed $seed)") {
+      val rng = new Random(3000 + seed)
+      val g = TestGraphs.randomGraph(rng, 7, 18, 3)
+      val owners = TestGraphs.randomOwners(rng, g, 1 + rng.nextInt(3))
+      val qg = TestGraphs.randomVarPredQuery(rng, g, 3)
+      qg.encode(g.dict).foreach { q =>
+        TestGraphs.fragmentsOf(g, owners).foreach { case (f, ts) =>
+          val got = lpmSet(LocalMatcher.run(f, ts.iterator, q))
+          assert(got == BruteForce.def5LPMs(f, ts, q), s"fragment $f differs for query ${qg.patterns}")
+        }
+      }
+    }
+  }
 }

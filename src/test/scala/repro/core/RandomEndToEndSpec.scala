@@ -55,4 +55,25 @@ class RandomEndToEndSpec extends SparkSpec {
       }
     }
   }
+
+  for (seed <- 0 until 12) {
+    test(s"every opt level == brute force with variable predicates and self-loops (seed $seed)") {
+      val rng = new Random(4000 + seed)
+      val g = TestGraphs.randomGraph(rng, 8, 22, 3)
+      val k = 1 + rng.nextInt(3)
+      val owners = TestGraphs.randomOwners(rng, g, k)
+      val qg = TestGraphs.randomVarPredQuery(rng, g, 3)
+      qg.encode(g.dict).foreach { q =>
+        val varIdx = (0 until q.n).filter(q.vertices(_).isVar)
+        val want = BruteForce.centralMatches(g.triples, q).map(b => varIdx.map(b).toVector)
+        Using.resource(DistributedGraph.fromOwners(spark, g, owners, k)) { dg =>
+          OptLevel.all.foreach { lvl =>
+            val got = GStoreD.evaluate(dg, qg, lvl).matches
+              .collect().map(r => r.toSeq.map(_.asInstanceOf[Long]).toVector).toSet
+            assert(got == want, s"${lvl.name}, query=${qg.patterns}")
+          }
+        }
+      }
+    }
+  }
 }

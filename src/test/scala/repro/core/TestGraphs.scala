@@ -49,4 +49,22 @@ object TestGraphs {
     }
     QueryGraph.of(rows: _*)
   }
+
+  /** A random connected query with variable predicates and self-loops.
+    * Each predicate variable occurs once: the engine does not join on them.
+    */
+  def randomVarPredQuery(rng: Random, g: RdfGraph, nPred: Int): QueryGraph = {
+    def p() = s"p${rng.nextInt(nPred)}"
+    def const() = g.dict.str(g.vertexIds(rng.nextInt(g.vertexIds.size)))
+    val rows = rng.nextInt(7) match {
+      case 0 => Seq("?a ?e ?b", s"?b ${p()} ?c")
+      case 1 => Seq(s"?a ${p()} ?a", s"?a ${p()} ?b")
+      case 2 => Seq(s"?a ?e ${const()}")
+      case 3 => Seq("?a ?e ?b", "?b ?f ?c", s"?c ${p()} ?d") // path-4
+      case 4 => Seq("?a ?e ?b", s"?b ${p()} ?c", "?c ?f ?a") // triangle
+      case 5 => Seq("?a ?e ?a", s"?a ${p()} ?b", "?b ?f ?b") // loops at both ends
+      case _ => Seq("?a ?e ?b", s"?b ${p()} ${const()}", s"?a ${p()} ?a")
+    }
+    QueryGraph.of(rows: _*)
+  }
 }

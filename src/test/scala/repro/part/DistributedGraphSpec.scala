@@ -90,6 +90,30 @@ class DistributedGraphSpec extends SparkSpec {
     }
   }
 
+  for (p <- Partitioners.all) {
+    test(s"attrSubjects equals the carriers over the collected store (${p.name})") {
+      Using.resource(DistributedGraph.build(spark, lubm.graph, p, k, lubm.attrPreds)) { d =>
+        val attrIds = lubm.attrPreds.map(d.graph.dict.id)
+        // attribute edge (p, o) -> the subjects that carry it
+        val carriers = d.fragTriples.collect().filter(t => attrIds(t.p))
+          .groupMapReduce(t => (t.p, t.o))(t => Set(t.s))(_ ++ _)
+        def want(cs: Seq[(Long, Long)]) = cs.map(carriers).reduce(_ intersect _)
+        val common = carriers.keys.toSeq.sortBy(c => (-carriers(c).size, c))
+        val first = common.head
+        // a second attribute that some carrier of the first also carries
+        val second = common.find(c => c != first && carriers(c).exists(carriers(first))).get
+        // and one that none of them carries
+        val disjoint = common.find(c => carriers(c).intersect(carriers(first)).isEmpty).get
+        val signatures = Seq(Seq(first), Seq(first, second), Seq(first, disjoint))
+        assert(want(Seq(first, second)).nonEmpty && want(Seq(first, disjoint)).isEmpty)
+        signatures.foreach { cs =>
+          val got = d.attrSubjects(cs)
+          assert(got.length == got.distinct.length && got.toSet == want(cs), s"signature $cs")
+        }
+      }
+    }
+  }
+
   test("close releases the store's cached blocks") {
     val sc = spark.sparkContext
     val before = sc.getPersistentRDDs.keySet
